@@ -7,13 +7,16 @@ Subcommands:
 
 Exit codes: 0 on success, 2 for configuration problems (including
 unknown experiment names), 3 for numerical failures, which are
-reported with the failing module and operation.
+reported with the failing module and operation, and 141 (128 + SIGPIPE,
+the shell's code for a writer the closed pipe ends) without a traceback
+when the reader of stdout goes away early, as in ``| head -1``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -26,6 +29,7 @@ from .experiments import (OUTPUT_ENV_VAR, ExperimentConfig,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -130,7 +134,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = {"run": _cmd_run, "list": _cmd_list, "plot": _cmd_plot}
     try:
-        return handler[args.command](args)
+        code = handler[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # fd 1 goes to /dev/null so the interpreter's exit flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except UnknownExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -25,13 +25,13 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, UnknownExperimentError
 from .finite_sim import (GENERATOR_NAME, LabelModel, UnobservedBlock,
-                         conditional_bias, conditional_variance,
+                         conditional_bias, default_time_grid,
                          optimal_early_stopping, sample_design,
                          simulate_risk, trajectory, yky_diagnostic, _rng)
 from .risk_theory import (RISK_CSV_COLUMNS, MisspecSpec, misspecified_bias,
                           risk_report, sweep_alpha)
-from .rkhs_sim import (RKHS_CSV_COLUMNS, build_model, damping_sweep,
-                       make_dataset, run_preconditioned, rate_optimal_damping)
+from .rkhs_sim import (RKHS_CSV_COLUMNS, build_model, make_dataset,
+                       run_preconditioned, rate_optimal_damping)
 from .spectra import (PreconditionerSpec, SpectralMeasure, make_joint,
                       make_poly_decay, make_two_atom, make_uniform)
 
@@ -413,11 +413,11 @@ def _run_stationary(cfg: ExperimentConfig, workers: int) -> dict:
         design = sample_design(n, d, fx, "gaussian", seed)
         out = []
         for spec in specs:
-            bias = conditional_bias(design, spec, prior)
-            variance = conditional_variance(design, spec, sigma2)
+            point = trajectory(design, spec, prior, sigma2, [math.inf])[0]
             out.append([seed, n, d, gamma, spec.label,
                         None if spec.alpha is None else spec.alpha, sigma2,
-                        "well_specified", bias, variance, bias + variance])
+                        "well_specified", point.bias, point.variance,
+                        point.risk])
         return out
 
     cells = [(float(g), s) for g in raw["gammas"] for s in seeds]
@@ -447,7 +447,6 @@ def _run_trajectory(cfg: ExperimentConfig, workers: int) -> dict:
             t_grid = None
             if isinstance(grid_spec, tuple):
                 _, lo, hi, points = grid_spec
-                from .finite_sim import default_time_grid
                 t_grid = default_time_grid(design, spec, points, lo, hi)
         else:
             t_grid = grid_spec
@@ -573,17 +572,18 @@ def _run_yky(cfg: ExperimentConfig, workers: int) -> dict:
     design = sample_design(n, d, fx, "gaussian", seeds[0])
     model = LabelModel(kind="well_specified", sigma=0.0, prior_map=prior)
 
-    def cell(seed):
+    labels, keys = [], []
+    for seed in seeds:
         rng = _rng(seed, stream=1)
         theta_star = model.sample_theta_star(design, rng)
         base_noise = rng.standard_normal(n)
         signal = design.X @ theta_star
-        return [[sigma, seed,
-                 yky_diagnostic(design, signal + sigma * base_noise)]
-                for sigma in levels]
-
-    rows = [row for chunk in _pool_map(cell, seeds, workers)
-            for row in chunk]
+        for sigma in levels:
+            labels.append(signal + sigma * base_noise)
+            keys.append((sigma, seed))
+    # every label vector against one factorization of the fixed design
+    values = yky_diagnostic(design, np.column_stack(labels))
+    rows = [[sigma, seed, float(v)] for (sigma, seed), v in zip(keys, values)]
     means = [[sigma,
               float(np.mean([r[2] for r in rows if r[0] == sigma]))]
              for sigma in levels]

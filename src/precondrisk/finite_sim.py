@@ -14,10 +14,11 @@ noise; they are computed from the exact conditional trace formulas
     B(X) = (1/d) Tr[Sigma_theta (I - P X^T S^-1 X)^T Sigma_X (...)],
     V(X) = sigma^2 Tr[P X^T S^-2 X P Sigma_X],      S = X P X^T,
 
-so the only Monte Carlo fluctuation left is in X itself.  The
-gradient-flow trajectory theta_P(t) = P X^T [I - exp(-(t/n) S)] S^-1 y
-admits the same treatment: one symmetric eigendecomposition of the
-n x n Gram S is reused for every t in the grid.
+so the only Monte Carlo fluctuation left is in X itself.  Both are the
+t = inf point of the gradient flow theta_P(t) = P X^T [I - exp(-(t/n) S)]
+S^-1 y, whose spectral filter (1 - exp(-t lam / n)) / lam tends to
+1/lam: one symmetric eigendecomposition of the n x n Gram S
+(``_gram_eig``) gives every conditional quantity.
 
 Randomness comes from numpy's Philox counter-based generator, which is
 seed-stable across platforms; the generator name and numpy version are
@@ -61,6 +62,8 @@ GENERATOR_NAME = f"numpy.random.Philox (Philox4x64-10), numpy {np.__version__}"
 
 # Gram invertibility floor relative to the largest eigenvalue.
 _GRAM_RTOL = 1e-12
+# Default flow time grid: points, and its span in units of n / lambda_max.
+_GRID_POINTS, _GRID_LO, _GRID_HI = 60, 1e-2, 1e2
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -301,26 +304,25 @@ def _xp(design: Design, P) -> np.ndarray:
     return design.X @ dense
 
 
-def _gram(design: Design, XP: np.ndarray) -> np.ndarray:
+def _gram_eig(design: Design, P, what: str
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X P, lam, Q) with X P X^T = Q diag(lam) Q^T, lam ascending; raises
+    NumericalError naming operation ``what`` if the Gram is singular."""
+    XP = _xp(design, P)
     S = XP @ design.X.T
-    return 0.5 * (S + S.T)
-
-
-def _solve_gram(S: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
-    try:
-        return np.linalg.solve(S, B)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("finite_sim", what,
-                             f"singular Gram matrix: {exc}") from exc
-
-
-def _check_gram(S: np.ndarray, what: str) -> None:
-    eigs = np.linalg.eigvalsh(S)
-    if eigs[0] <= _GRAM_RTOL * eigs[-1]:
+    lam, Q = np.linalg.eigh(0.5 * (S + S.T))
+    if lam[0] <= _GRAM_RTOL * lam[-1]:
         raise NumericalError(
             "finite_sim", what,
             f"Gram matrix numerically singular (min/max eig = "
-            f"{eigs[0]:.3e}/{eigs[-1]:.3e})")
+            f"{lam[0]:.3e}/{lam[-1]:.3e})")
+    return XP, lam, Q
+
+
+def _time_grid(n: int, lam_max: float, n_points: int, lo: float,
+               hi: float) -> np.ndarray:
+    scale = n / float(lam_max)
+    return np.geomspace(lo * scale, hi * scale, n_points)
 
 
 def _theta_eigs(design: Design, theta) -> np.ndarray:
@@ -346,51 +348,26 @@ def _theta_eigs(design: Design, theta) -> np.ndarray:
 def stationary_solution(design: Design, P, y: np.ndarray) -> np.ndarray:
     """theta_hat = P X^T (X P X^T)^-1 y, the min-||.||_{P^-1} interpolant."""
     y = np.asarray(y, dtype=float)
-    XP = _xp(design, P)
-    S = _gram(design, XP)
-    return XP.T @ _solve_gram(S, y, "stationary_solution")
+    XP, lam, Q = _gram_eig(design, P, "stationary_solution")
+    return XP.T @ (Q @ ((Q.T @ y) / lam))
 
 
 def conditional_bias(design: Design, P, theta) -> float:
-    """Exact prior-averaged bias given X (no theta* sampling noise)."""
-    st = _theta_eigs(design, theta)
-    sx = design.sigma_x_eigs
-    X = design.X
-    XP = _xp(design, P)
-    S = _gram(design, XP)
-    _check_gram(S, "conditional_bias")
-    A = (XP * sx) @ XP.T
-    Bm = (X * st) @ X.T
-    Cm = (X * (st * sx)) @ XP.T
-    GA = _solve_gram(S, A, "conditional_bias")
-    GB = _solve_gram(S, Bm, "conditional_bias")
-    GC = _solve_gram(S, Cm, "conditional_bias")
-    c0 = float(np.sum(st * sx))
-    return (c0 - 2.0 * float(np.trace(GC)) + float(np.sum(GA * GB.T))
-            ) / design.d
+    """Exact prior-averaged bias given X: the flow's t = inf point."""
+    return trajectory(design, P, theta, 0.0, [math.inf])[0].bias
 
 
 def conditional_variance(design: Design, P, sigma2: float) -> float:
-    """Exact noise-averaged variance given X."""
-    if sigma2 < 0:
-        raise DomainError("sigma2 must be >= 0")
-    sx = design.sigma_x_eigs
-    XP = _xp(design, P)
-    S = _gram(design, XP)
-    _check_gram(S, "conditional_variance")
-    A = (XP * sx) @ XP.T
-    GA = _solve_gram(S, A, "conditional_variance")
-    return sigma2 * float(np.trace(_solve_gram(S, GA,
-                                               "conditional_variance")))
+    """Exact noise-averaged variance given X: the flow's t = inf point."""
+    return trajectory(design, P, 0.0, sigma2, [math.inf])[0].variance
 
 
-def default_time_grid(design: Design, P, n_points: int = 60,
-                      lo: float = 1e-2, hi: float = 1e2) -> np.ndarray:
+def default_time_grid(design: Design, P, n_points: int = _GRID_POINTS,
+                      lo: float = _GRID_LO, hi: float = _GRID_HI
+                      ) -> np.ndarray:
     """Geometric grid spanning [lo, hi] * n / lambda_max(X P X^T)."""
-    S = _gram(design, _xp(design, P))
-    lam_max = float(np.linalg.eigvalsh(S)[-1])
-    scale = design.n / lam_max
-    return np.geomspace(lo * scale, hi * scale, n_points)
+    _, lam, _ = _gram_eig(design, P, "default_time_grid")
+    return _time_grid(design.n, lam[-1], n_points, lo, hi)
 
 
 def trajectory(design: Design, P, theta, sigma2: float,
@@ -399,29 +376,25 @@ def trajectory(design: Design, P, theta, sigma2: float,
     """Exact conditional bias/variance along the gradient flow.
 
     theta_P(t) = P X^T [I - exp(-(t/n) S)] S^-1 y with S = X P X^T.  One
-    symmetric eigendecomposition of S is reused for every grid time; at
-    t -> infinity the points converge to the stationary conditional
-    values.
+    symmetric eigendecomposition of S is reused for every grid time;
+    t = inf gives the stationary conditional values exactly.  Without a
+    grid, the default_time_grid points are used.
     """
+    if sigma2 < 0:
+        raise DomainError("sigma2 must be >= 0")
+    if t_grid is not None:
+        t_grid = np.asarray(t_grid, dtype=float)
+        if t_grid.size == 0:
+            raise DomainError("t_grid must be nonempty")
+        if np.any(t_grid < 0) or np.any(np.diff(t_grid) < 0):
+            raise DomainError("t_grid must be sorted and nonnegative")
     st = _theta_eigs(design, theta)
     sx = design.sigma_x_eigs
     X = design.X
-    XP = _xp(design, P)
-    S = _gram(design, XP)
-    lam, Q = np.linalg.eigh(S)
-    if lam[0] <= _GRAM_RTOL * lam[-1]:
-        raise NumericalError(
-            "finite_sim", "trajectory",
-            f"Gram matrix numerically singular (min/max eig = "
-            f"{lam[0]:.3e}/{lam[-1]:.3e})")
+    XP, lam, Q = _gram_eig(design, P, "trajectory")
     if t_grid is None:
-        scale = design.n / float(lam[-1])
-        t_grid = np.geomspace(1e-2 * scale, 1e2 * scale, 60)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        raise DomainError("t_grid must be nonempty")
-    if np.any(t_grid < 0) or np.any(np.diff(t_grid) < 0):
-        raise DomainError("t_grid must be sorted and nonnegative")
+        t_grid = _time_grid(design.n, lam[-1], _GRID_POINTS, _GRID_LO,
+                            _GRID_HI)
 
     A = (XP * sx) @ XP.T
     Bm = (X * st) @ X.T
@@ -488,14 +461,19 @@ def min_norm_check(design: Design, P, y: np.ndarray,
     return float(np.max(np.abs(kernel_basis @ pinv_theta))) / norm
 
 
-def yky_diagnostic(design: Design, y: np.ndarray) -> float:
-    """sqrt(y^T (X X^T)^-1 y / n), the label-noise diagnostic."""
+def yky_diagnostic(design: Design, y: np.ndarray):
+    """sqrt(y^T (X X^T)^-1 y / n), the label-noise diagnostic.
+
+    ``y`` is one label vector of shape (n,), giving a float, or k label
+    vectors as the columns of an (n, k) array, giving k values.
+    """
     y = np.asarray(y, dtype=float)
-    G = design.X @ design.X.T
-    G = 0.5 * (G + G.T)
-    _check_gram(G, "yky_diagnostic")
-    return math.sqrt(float(y @ _solve_gram(G, y, "yky_diagnostic")) /
-                     design.n)
+    if y.ndim not in (1, 2) or y.shape[0] != design.n:
+        raise DomainError("labels must have shape (n,) or (n, k)")
+    _, lam, Q = _gram_eig(design, np.ones(design.d), "yky_diagnostic")
+    z = Q.T @ y
+    values = np.sqrt((1.0 / lam) @ (z * z) / design.n)
+    return float(values) if y.ndim == 1 else values
 
 
 def _quadratic_risk(design: Design, P, model: LabelModel, seed: int,
@@ -552,8 +530,8 @@ def simulate_risk(designs: Sequence[Design], P, model: LabelModel,
                                    test_points)
             rows.append((design.seed, math.nan, math.nan, risk))
             continue
-        bias = conditional_bias(design, P, model.prior_map)
-        v0 = conditional_variance(design, P, 1.0)
+        point = trajectory(design, P, model.prior_map, 1.0, [math.inf])[0]
+        bias, v0 = point.bias, point.variance
         variance = model.sigma**2 * v0
         if model.kind == "unobserved":
             tau = model.unobserved.realized_trace_term()

@@ -29,7 +29,6 @@ number for gradient descent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 

@@ -13,8 +13,8 @@ import pytest
 
 from precondrisk import (PreconditionerSpec, SpectralMeasure,
                          UnobservedBlock, LabelModel, build_model,
-                         build_preconditioner, conditional_bias,
-                         conditional_variance, finite_diff_check,
+                         conditional_bias, conditional_variance,
+                         finite_diff_check,
                          iterations_to_threshold, make_dataset, make_joint,
                          make_poly_decay, make_two_atom, make_uniform,
                          m_derivative, min_norm_check, misspecified_bias,

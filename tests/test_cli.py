@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -94,6 +95,35 @@ class TestRun:
         err = capsys.readouterr().err
         assert "stieltjes" in err
         assert "solve_m" in err
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away; its fd is a scratch file."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._handle.fileno()
+
+
+class TestBrokenPipe:
+    def test_exits_quietly_with_stated_code(self, tmp_path, monkeypatch,
+                                            capsys):
+        with open(tmp_path / "fd1", "w") as handle:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(handle))
+            code = run_cli(["run", "fig10", "--seeds", "0:2", "--out",
+                            str(tmp_path)])
+        assert code == cli.EXIT_BROKEN_PIPE == 141
+        assert capsys.readouterr().err == ""
+        # the run finished before its summary hit the closed pipe
+        assert (tmp_path / "fig10_manifest.json").exists()
 
 
 class TestPlot:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from precondrisk import (Design, DomainError, LabelModel,
+from precondrisk import (Design, DomainError, LabelModel, NumericalError,
                          OutOfRegimeError, PreconditionerSpec,
                          UnobservedBlock, build_preconditioner,
                          conditional_bias, conditional_variance,
@@ -149,9 +149,13 @@ def naive_variance(design, P_matrix, sigma2):
 
 
 class TestConditionalRisk:
-    @pytest.mark.parametrize("spec", [PreconditionerSpec.identity(),
-                                      PreconditionerSpec.power(0.5)],
-                             ids=["gd", "pow"])
+    @pytest.mark.parametrize(
+        "spec", [PreconditionerSpec.identity(),
+                 PreconditionerSpec.power(0.5),
+                 PreconditionerSpec.inverse_pop_fisher(),
+                 PreconditionerSpec.sample_pseudo_inverse(),
+                 PreconditionerSpec("sample_damped", lam=0.3)],
+        ids=["gd", "pow", "ngd", "pseudo", "damped"])
     @pytest.mark.parametrize("prior", [iso_prior, inv_prior],
                              ids=["iso", "inv"])
     def test_against_dense_formulas(self, spec, prior):
@@ -190,6 +194,29 @@ class TestConditionalRisk:
         with pytest.raises(DomainError):
             conditional_variance(design, PreconditionerSpec.identity(),
                                  -1.0)
+        with pytest.raises(DomainError):
+            trajectory(design, PreconditionerSpec.identity(), iso_prior,
+                       -1.0, [1.0])
+
+    def test_singular_gram_raises_everywhere(self):
+        base = small_design(seed=2, n=10, d=20)
+        X = base.X.copy()
+        X[1] = X[0]  # two identical rows: X P X^T is singular
+        design = Design(X=X, n=base.n, d=base.d,
+                        sigma_x_eigs=base.sigma_x_eigs, seed=base.seed)
+        spec = PreconditionerSpec.identity()
+        y = np.ones(design.n)
+        calls = [
+            lambda: conditional_bias(design, spec, iso_prior),
+            lambda: conditional_variance(design, spec, 1.0),
+            lambda: trajectory(design, spec, iso_prior, 1.0, None),
+            lambda: stationary_solution(design, spec, y),
+            lambda: default_time_grid(design, spec),
+            lambda: yky_diagnostic(design, y),
+        ]
+        for call in calls:
+            with pytest.raises(NumericalError):
+                call()
 
 
 class TestTrajectory:
@@ -356,6 +383,10 @@ class TestDiagnostics:
         theta = rng.standard_normal(design.d) / np.sqrt(design.d)
         signal = design.X @ theta
         noise = rng.standard_normal(design.n)
-        values = [yky_diagnostic(design, signal + s * noise)
-                  for s in (0.0, 0.5, 1.0, 2.0)]
+        labels = [signal + s * noise for s in (0.0, 0.5, 1.0, 2.0)]
+        values = [yky_diagnostic(design, y) for y in labels]
         assert all(b > a for a, b in zip(values, values[1:]))
+        # one (n, k) call gives the k single-vector values
+        batch = yky_diagnostic(design, np.column_stack(labels))
+        assert batch.shape == (len(labels),)
+        assert batch == pytest.approx(values, rel=1e-12)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from precondrisk import (OutOfRegimeError, SpectralMeasure,
-                         finite_diff_check, m_derivative, make_two_atom,
-                         solve_m)
+                         finite_diff_check, m_derivative, solve_m)
 
 
 def _measure(values, weights):
