@@ -1,7 +1,9 @@
-"""Named experiments, config validation, and the batch runner.
+"""Named experiments, config parsing, and the batch runner.
 
 Each preset is an embedded JSON-style document describing one figure's
-worth of computation.  ``run`` validates a config, fans seed/sweep
+worth of computation.  ``ExperimentConfig.from_dict`` is the only reader
+of that document: it checks every field, naming the field's path on
+failure, and parses it into typed fields once.  ``run`` fans seed/sweep
 cells out to a bounded thread pool (each cell is pure given its seed),
 writes RFC-4180 CSVs with 17-significant-digit floats, and records a
 manifest with a canonical config hash, the RNG identity, and per-file
@@ -19,6 +21,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -27,10 +30,12 @@ from .errors import ConfigError, UnknownExperimentError
 from .finite_sim import (GENERATOR_NAME, LabelModel, UnobservedBlock,
                          conditional_bias, default_time_grid,
                          optimal_early_stopping, sample_design,
-                         simulate_risk, trajectory, yky_diagnostic, _rng)
+                         simulate_risk, trajectory, yky_diagnostic,
+                         _GRID_HI, _GRID_LO, _GRID_POINTS, _rng)
 from .risk_theory import (RISK_CSV_COLUMNS, MisspecSpec, misspecified_bias,
                           risk_report, sweep_alpha)
-from .rkhs_sim import (RKHS_CSV_COLUMNS, build_model, make_dataset,
+from .rkhs_sim import (RKHS_CSV_COLUMNS, build_model,
+                       iterations_to_threshold, make_dataset,
                        run_preconditioned, rate_optimal_damping)
 from .spectra import (PreconditionerSpec, SpectralMeasure, make_joint,
                       make_poly_decay, make_two_atom, make_uniform)
@@ -46,40 +51,96 @@ TRAJECTORY_CSV_COLUMNS = ("seed", "t", "bias", "variance", "risk")
 
 KINDS = ("stationary", "trajectory", "alpha_sweep", "misspec_quadratic",
          "misspec_unobserved", "yky", "alignment", "rkhs")
+# kinds that draw designs, and so need seeds, n and gamma * n > n
 _SIMULATION_KINDS = ("stationary", "trajectory", "misspec_quadratic",
                      "misspec_unobserved", "yky", "alignment")
+_SINGLE_GAMMA_KINDS = ("trajectory", "misspec_quadratic",
+                       "misspec_unobserved", "yky", "alignment")
+_POPULATION_ONLY_KINDS = ("stationary", "alpha_sweep", "alignment",
+                          "misspec_unobserved")
+# the sorted grid each kind sweeps, and the range of its values
+_SWEEP_GRIDS = {
+    "alpha_sweep": ("alphas", {"minimum": 0.0, "maximum": 1.0}),
+    "alignment": ("prior_exponents", {"minimum": 0.0, "maximum": 1.0}),
+    "misspec_quadratic": ("alpha_q_values", {"minimum": 0.0}),
+    "misspec_unobserved": ("trace_terms", {"strict_min": 0.0}),
+}
+_FAMILIES = ("power", "additive_interp", "damped_inverse")
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 
+def _path(path: str, key) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _require(mapping: dict, key: str, types, path: str):
     if key not in mapping:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing field")
+        raise ConfigError(_path(path, key), "missing field")
     value = mapping[key]
     if types is not None and not isinstance(value, types):
-        raise ConfigError(f"{path}.{key}" if path else key,
+        raise ConfigError(_path(path, key),
                           f"expected {types}, got {type(value).__name__}")
     return value
 
 
-def _number(mapping: dict, key: str, path: str, minimum=None,
-            strict_min=None, default=None):
-    if key not in mapping:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}" if path else key, "missing field")
-    value = mapping[key]
+def _check_number(value, where: str, minimum=None, strict_min=None,
+                  maximum=None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}" if path else key,
+        raise ConfigError(where,
                           f"expected a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise ConfigError(where, f"must be finite, got {value}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key}" if path else key,
-                          f"must be >= {minimum}, got {value}")
+        raise ConfigError(where, f"must be >= {minimum}, got {value}")
     if strict_min is not None and value <= strict_min:
-        raise ConfigError(f"{path}.{key}" if path else key,
-                          f"must be > {strict_min}, got {value}")
+        raise ConfigError(where, f"must be > {strict_min}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(where, f"must be <= {maximum}, got {value}")
     return float(value)
+
+
+def _check_integer(value, where: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) \
+            or value < minimum:
+        raise ConfigError(where, f"need an integer >= {minimum}, "
+                                 f"got {value!r}")
+    return value
+
+
+def _number(mapping: dict, key: str, path: str, default=None,
+            **bounds) -> float:
+    if key not in mapping and default is not None:
+        return default
+    return _check_number(_require(mapping, key, None, path),
+                         _path(path, key), **bounds)
+
+
+def _integer(mapping: dict, key: str, path: str, minimum: int,
+             default=None) -> int:
+    if key not in mapping and default is not None:
+        return default
+    return _check_integer(_require(mapping, key, None, path),
+                          _path(path, key), minimum)
+
+
+def _list(mapping: dict, key: str, path: str, check, **bounds) -> tuple:
+    """A nonempty list, each item passed through ``check``."""
+    where = _path(path, key)
+    values = _require(mapping, key, list, path)
+    if not values:
+        raise ConfigError(where, "need at least one value")
+    return tuple(check(v, f"{where}[{i}]", **bounds)
+                 for i, v in enumerate(values))
+
+
+def _file_name(value, where: str) -> str:
+    """A name that output files can start with inside the output dir."""
+    if not isinstance(value, str) or value in ("", ".", "..") \
+            or any(c in value for c in "/\\\0"):
+        raise ConfigError(where, f"need a bare file name, got {value!r}")
+    return value
 
 
 def build_spectrum(spec: dict, path: str = "spectrum") -> SpectralMeasure:
@@ -118,27 +179,136 @@ def build_prior(spec: dict, path: str = "prior"):
     raise ConfigError(f"{path}.kind", f"unknown prior kind {kind!r}")
 
 
-def build_precond(spec: dict, path: str) -> PreconditionerSpec:
+def build_precond(spec: dict, path: str,
+                  population_only: bool = False) -> PreconditionerSpec:
+    if not isinstance(spec, dict):
+        raise ConfigError(path, "expected an object")
     kind = _require(spec, "kind", str, path)
     try:
         if kind in ("power", "additive_interp", "damped_inverse"):
-            alpha = _number(spec, "alpha", path)
-            return PreconditionerSpec(kind, alpha=alpha)
-        if kind == "sample_damped":
-            lam = _number(spec, "lam", path, strict_min=0.0)
-            return PreconditionerSpec(kind, lam=lam)
-        return PreconditionerSpec(kind)
+            precond = PreconditionerSpec(kind,
+                                         alpha=_number(spec, "alpha", path))
+        elif kind == "sample_damped":
+            precond = PreconditionerSpec(
+                kind, lam=_number(spec, "lam", path, strict_min=0.0))
+        else:
+            precond = PreconditionerSpec(kind)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
+    if population_only and not precond.is_population:
+        raise ConfigError(f"{path}.kind",
+                          f"{kind} has no population spectrum; use identity "
+                          "(the sample kinds share the GD limit)")
+    return precond
+
+
+@dataclass(frozen=True)
+class _TimeGrid:
+    """``points`` geometric flow times over [lo, hi], absolute or in
+    units of n / lambda_max(X P X^T) of each design."""
+
+    absolute: bool
+    lo: float
+    hi: float
+    points: int
+
+    def times(self, design, spec) -> np.ndarray:
+        if self.absolute:
+            return np.geomspace(self.lo, self.hi, self.points)
+        return default_time_grid(design, spec, self.points, self.lo,
+                                 self.hi)
+
+
+def _parse_t_grid(grid) -> _TimeGrid:
+    if not isinstance(grid, dict):
+        raise ConfigError("t_grid", "expected an object")
+    scale = grid.get("scale", "lambda_max")
+    if scale not in ("lambda_max", "absolute"):
+        raise ConfigError("t_grid.scale", f"unknown scale {scale!r}")
+    lo = _number(grid, "lo", "t_grid", strict_min=0.0, default=_GRID_LO)
+    hi = _number(grid, "hi", "t_grid", strict_min=0.0, default=_GRID_HI)
+    if hi <= lo:
+        raise ConfigError("t_grid.hi", "need hi > lo")
+    points = _integer(grid, "points", "t_grid", 2, default=_GRID_POINTS)
+    return _TimeGrid(scale == "absolute", lo, hi, points)
+
+
+@dataclass(frozen=True)
+class _RkhsParams:
+    """The ``rkhs`` object; ``alphas`` None means the rate-optimal
+    damping of each (n, r)."""
+
+    N: int
+    s: float
+    r_values: tuple[float, ...]
+    ns: tuple[int, ...]
+    alphas: tuple[float, ...] | None
+    eta: float
+    T: int
+    sigma: float
+    model_seed: int
+    data_seed: int
+    threshold_factor: float
+
+
+def _parse_rkhs(params: dict) -> _RkhsParams:
+    s = _number(params, "s", "rkhs", strict_min=1.0)
+    r_values = _list(params, "r_values", "rkhs", _check_number,
+                     strict_min=0.0)
+    for i, r in enumerate(r_values):
+        if not 2 * r + 1.0 / s > 1.0:
+            raise ConfigError(f"rkhs.r_values[{i}]",
+                              f"2r + 1/s > 1 fails for r={r}, s={s}")
+    alphas = _require(params, "alphas", None, "rkhs")
+    if alphas != "rate_optimal":
+        if not isinstance(alphas, list):
+            raise ConfigError("rkhs.alphas",
+                              'need a list of dampings or "rate_optimal"')
+        alphas = _list(params, "alphas", "rkhs", _check_number,
+                       strict_min=0.0)
+    eta = _number(params, "eta", "rkhs", default=0.5)
+    if not 0 < eta < 1:
+        raise ConfigError("rkhs.eta", "need 0 < eta < 1")
+    return _RkhsParams(
+        N=_integer(params, "N", "rkhs", 2), s=s, r_values=r_values,
+        ns=_list(params, "ns", "rkhs", _check_integer, minimum=1),
+        alphas=None if alphas == "rate_optimal" else alphas, eta=eta,
+        T=_integer(params, "T", "rkhs", 1, default=300),
+        sigma=_number(params, "sigma", "rkhs", minimum=0.0, default=0.0),
+        model_seed=_integer(params, "model_seed", "rkhs", 0, default=0),
+        data_seed=_integer(params, "data_seed", "rkhs", 0, default=0),
+        threshold_factor=_number(params, "threshold_factor", "rkhs",
+                                 strict_min=0.0, default=2.0))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated experiment; ``raw`` is the canonical config document."""
+    """A parsed experiment; ``raw`` is the canonical config document.
+
+    The other fields are everything a runner reads, parsed and checked
+    once.  Fields a kind does not use keep their empty defaults;
+    ``sweep`` is the kind's own axis (alphas, prior exponents, alpha_q
+    values, trace terms or noise levels), ``(None,)`` for kinds that
+    sweep only gamma.
+    """
 
     experiment: str
     kind: str
     raw: dict = field(compare=False)
+    prefix: str = ""
+    seeds: tuple[int, ...] = ()
+    spectrum: SpectralMeasure | None = None
+    prior: Callable[[np.ndarray], np.ndarray] | None = None
+    gammas: tuple[float, ...] = ()
+    sigma2: float = 0.0
+    n: int = 0
+    specs: tuple[PreconditionerSpec, ...] = ()
+    sweep: tuple = (None,)
+    families: tuple[str, ...] = ()
+    t_grid: _TimeGrid | None = None
+    test_points: int = 0
+    d_c: int = 0
+    rkhs: _RkhsParams | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -148,152 +318,64 @@ class ExperimentConfig:
         if version != 1:
             raise ConfigError("schema_version",
                               f"unsupported schema version {version!r}")
-        experiment = _require(raw, "experiment", str, "")
+        experiment = _file_name(_require(raw, "experiment", None, ""),
+                                "experiment")
         kind = _require(raw, "kind", str, "")
         if kind not in KINDS:
             raise ConfigError("kind", f"must be one of {KINDS}; got {kind!r}")
-        cfg = cls(experiment=experiment, kind=kind, raw=raw)
-        cfg.validate()
-        return cfg
+        out = {"prefix": _file_name(raw.get("output_prefix", experiment),
+                                    "output_prefix")}
+        if kind in _SIMULATION_KINDS:
+            out["seeds"] = _list(raw, "seeds", "", _check_integer,
+                                 minimum=0)
+        if kind == "rkhs":
+            out["rkhs"] = _parse_rkhs(_require(raw, "rkhs", dict, ""))
+            return cls(experiment=experiment, kind=kind, raw=raw, **out)
 
-    def validate(self) -> None:
-        raw = self.raw
-        if self.kind in _SIMULATION_KINDS:
-            seeds = _require(raw, "seeds", list, "")
-            if len(seeds) == 0:
-                raise ConfigError("seeds",
-                                  "simulation experiments need >= 1 seed")
-            for i, s in enumerate(seeds):
-                if isinstance(s, bool) or not isinstance(s, int):
-                    raise ConfigError(f"seeds[{i}]", "seeds must be integers")
-        if self.kind == "rkhs":
-            self._validate_rkhs()
-            return
-        build_spectrum(_require(raw, "spectrum", dict, ""))
-        build_prior(_require(raw, "prior", dict, ""))
-        gammas = _require(raw, "gammas", list, "")
-        if len(gammas) == 0:
-            raise ConfigError("gammas", "need at least one gamma")
-        for i, g in enumerate(gammas):
-            if not isinstance(g, (int, float)) or g <= 1:
-                raise ConfigError(f"gammas[{i}]",
-                                  f"gamma must be a number > 1, got {g!r}")
-        _number(raw, "sigma2", "", minimum=0.0)
-        if self.kind in ("stationary", "trajectory", "misspec_quadratic",
-                         "misspec_unobserved", "alignment"):
-            n = raw.get("n")
-            if not isinstance(n, int) or n < 2:
-                raise ConfigError("n", "need an integer sample count >= 2")
+        out["spectrum"] = build_spectrum(_require(raw, "spectrum", dict, ""))
+        out["prior"] = build_prior(_require(raw, "prior", dict, ""))
+        gammas = out["gammas"] = _list(raw, "gammas", "", _check_number,
+                                       strict_min=1.0)
+        if kind in _SINGLE_GAMMA_KINDS and len(gammas) > 1:
+            raise ConfigError("gammas", f"{kind} takes one gamma, "
+                                        f"got {len(gammas)}")
+        out["sigma2"] = _number(raw, "sigma2", "", minimum=0.0)
+        if kind in _SIMULATION_KINDS:
+            n = out["n"] = _integer(raw, "n", "", 2)
             for i, g in enumerate(gammas):
                 if round(g * n) <= n:
                     raise ConfigError(f"gammas[{i}]",
                                       f"gamma*n must exceed n; got {g}*{n}")
-        if self.kind != "yky":
-            preconds = _require(raw, "preconditioners", list, "")
-            if len(preconds) == 0:
-                raise ConfigError("preconditioners",
-                                  "need at least one preconditioner")
-            for i, p in enumerate(preconds):
-                if not isinstance(p, dict):
-                    raise ConfigError(f"preconditioners[{i}]",
-                                      "expected an object")
-                spec = build_precond(p, f"preconditioners[{i}]")
-                if self.kind in ("stationary", "alpha_sweep", "alignment",
-                                 "misspec_unobserved") \
-                        and not spec.is_population:
-                    raise ConfigError(
-                        f"preconditioners[{i}].kind",
-                        f"{spec.kind} has no population spectrum; use "
-                        "identity (the sample kinds share the GD limit)")
-        if self.kind == "alpha_sweep":
+        if kind != "yky":
+            out["specs"] = _list(
+                raw, "preconditioners", "", build_precond,
+                population_only=kind in _POPULATION_ONLY_KINDS)
+        if kind == "alpha_sweep":
             families = _require(raw, "families", list, "")
             for i, fam in enumerate(families):
-                if fam not in ("power", "additive_interp", "damped_inverse"):
+                if fam not in _FAMILIES:
                     raise ConfigError(f"families[{i}]",
                                       f"unknown family {fam!r}")
-            self._validate_grid("alphas")
-        if self.kind == "alignment":
-            self._validate_grid("prior_exponents")
-        if self.kind == "misspec_quadratic":
-            self._validate_grid("alpha_q_values", lo=0.0, hi=math.inf)
-        if self.kind == "misspec_unobserved":
-            self._validate_grid("trace_terms", lo=0.0, hi=math.inf,
-                                strict_lo=True)
-            d_c = raw.get("d_c")
-            if not isinstance(d_c, int) or d_c < 1:
-                raise ConfigError("d_c", "need an integer block size >= 1")
-        if self.kind == "yky":
-            levels = _require(raw, "noise_levels", list, "")
-            if len(levels) < 2:
+            out["families"] = tuple(families)
+        if kind in _SWEEP_GRIDS:
+            key, bounds = _SWEEP_GRIDS[kind]
+            grid = out["sweep"] = _list(raw, key, "", _check_number, **bounds)
+            for i in range(1, len(grid)):
+                if grid[i] < grid[i - 1]:
+                    raise ConfigError(f"{key}[{i}]", "grid must be sorted")
+        if kind == "misspec_quadratic":
+            out["test_points"] = _integer(raw, "test_points", "", 1,
+                                          default=100_000)
+        if kind == "misspec_unobserved":
+            out["d_c"] = _integer(raw, "d_c", "", 1)
+        if kind == "yky":
+            out["sweep"] = _list(raw, "noise_levels", "", _check_number,
+                                 minimum=0.0)
+            if len(out["sweep"]) < 2:
                 raise ConfigError("noise_levels", "need >= 2 noise levels")
-            for i, s in enumerate(levels):
-                if not isinstance(s, (int, float)) or s < 0:
-                    raise ConfigError(f"noise_levels[{i}]",
-                                      "noise std must be >= 0")
-        if "t_grid" in raw and raw["t_grid"] is not None:
-            grid = raw["t_grid"]
-            if not isinstance(grid, dict):
-                raise ConfigError("t_grid", "expected an object")
-            scale = grid.get("scale", "lambda_max")
-            if scale not in ("lambda_max", "absolute"):
-                raise ConfigError("t_grid.scale",
-                                  f"unknown scale {scale!r}")
-            lo = _number(grid, "lo", "t_grid", strict_min=0.0, default=1e-2)
-            hi = _number(grid, "hi", "t_grid", strict_min=0.0, default=1e2)
-            if hi <= lo:
-                raise ConfigError("t_grid.hi", "need hi > lo")
-            points = grid.get("points", 60)
-            if not isinstance(points, int) or points < 2:
-                raise ConfigError("t_grid.points", "need an integer >= 2")
-
-    def _validate_grid(self, key: str, lo: float = 0.0, hi: float = 1.0,
-                       strict_lo: bool = False) -> None:
-        values = _require(self.raw, key, list, "")
-        if len(values) == 0:
-            raise ConfigError(key, "need a nonempty grid")
-        prev = None
-        for i, v in enumerate(values):
-            if not isinstance(v, (int, float)):
-                raise ConfigError(f"{key}[{i}]", "expected a number")
-            if v < lo or v > hi or (strict_lo and v == lo):
-                raise ConfigError(f"{key}[{i}]",
-                                  f"value {v} outside the allowed range")
-            if prev is not None and v < prev:
-                raise ConfigError(f"{key}[{i}]", "grid must be sorted")
-            prev = v
-
-    def _validate_rkhs(self) -> None:
-        params = _require(self.raw, "rkhs", dict, "")
-        N = params.get("N")
-        if not isinstance(N, int) or N < 2:
-            raise ConfigError("rkhs.N", "need an integer >= 2")
-        s = _number(params, "s", "rkhs", strict_min=1.0)
-        r_values = _require(params, "r_values", list, "rkhs")
-        for i, r in enumerate(r_values):
-            if not isinstance(r, (int, float)) or r <= 0:
-                raise ConfigError(f"rkhs.r_values[{i}]", "need r > 0")
-            if not 2 * r + 1.0 / s > 1.0:
-                raise ConfigError(f"rkhs.r_values[{i}]",
-                                  f"2r + 1/s > 1 fails for r={r}, s={s}")
-        ns = _require(params, "ns", list, "rkhs")
-        for i, n in enumerate(ns):
-            if not isinstance(n, int) or n < 1:
-                raise ConfigError(f"rkhs.ns[{i}]", "need an integer n >= 1")
-        alphas = _require(params, "alphas", None, "rkhs")
-        if alphas != "rate_optimal":
-            if not isinstance(alphas, list) or not alphas:
-                raise ConfigError("rkhs.alphas",
-                                  'need a list of dampings or "rate_optimal"')
-            for i, a in enumerate(alphas):
-                if not isinstance(a, (int, float)) or a <= 0:
-                    raise ConfigError(f"rkhs.alphas[{i}]", "need alpha > 0")
-        eta = _number(params, "eta", "rkhs", default=0.5)
-        if not 0 < eta < 1:
-            raise ConfigError("rkhs.eta", "need 0 < eta < 1")
-        T = params.get("T", 300)
-        if not isinstance(T, int) or T < 1:
-            raise ConfigError("rkhs.T", "need an integer T >= 1")
-        _number(params, "sigma", "rkhs", minimum=0.0, default=0.0)
+        if raw.get("t_grid") is not None:
+            out["t_grid"] = _parse_t_grid(raw["t_grid"])
+        return cls(experiment=experiment, kind=kind, raw=raw, **out)
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(self.raw))
@@ -369,20 +451,6 @@ def _sha256(path) -> str:
 # ---------------------------------------------------------------------------
 # runners (one per experiment kind)
 
-def _resolve_t_grid(raw: dict):
-    """Returns (grid array or None, grid kwargs) for trajectory kinds."""
-    grid = raw.get("t_grid")
-    if grid is None:
-        return None
-    scale = grid.get("scale", "lambda_max")
-    lo = float(grid.get("lo", 1e-2))
-    hi = float(grid.get("hi", 1e2))
-    points = int(grid.get("points", 60))
-    if scale == "absolute":
-        return np.geomspace(lo, hi, points)
-    return ("lambda_max", lo, hi, points)
-
-
 def _pool_map(fn, cells, workers: int):
     if workers <= 1:
         return [fn(cell) for cell in cells]
@@ -390,195 +458,126 @@ def _pool_map(fn, cells, workers: int):
         return list(pool.map(fn, cells))
 
 
-def _run_stationary(cfg: ExperimentConfig, workers: int) -> dict:
-    raw = cfg.raw
-    fx = build_spectrum(raw["spectrum"])
-    prior = build_prior(raw["prior"])
-    sigma2 = float(raw["sigma2"])
-    n = int(raw["n"])
-    specs = [build_precond(p, f"preconditioners[{i}]")
-             for i, p in enumerate(raw["preconditioners"])]
-    seeds = [int(s) for s in raw["seeds"]]
+def _design_rows(cfg: ExperimentConfig, workers: int, row) -> list:
+    """``row(gamma, value, design, spec)`` for every cell and spec.
 
-    theory_rows = []
-    for gamma in raw["gammas"]:
-        for spec in specs:
-            if spec.is_population:
-                report = risk_report(fx, prior, spec, float(gamma), sigma2)
-                theory_rows.append(report.to_csv_row())
-
+    Cells are (gamma, sweep value, seed), in that order; each draws one
+    design and runs on the pool.  The result is cell-major, spec-minor.
+    """
     def cell(args):
-        gamma, seed = args
-        d = int(round(gamma * n))
-        design = sample_design(n, d, fx, "gaussian", seed)
-        out = []
-        for spec in specs:
-            point = trajectory(design, spec, prior, sigma2, [math.inf])[0]
-            out.append([seed, n, d, gamma, spec.label,
-                        None if spec.alpha is None else spec.alpha, sigma2,
-                        "well_specified", point.bias, point.variance,
-                        point.risk])
-        return out
+        gamma, value, seed = args
+        design = sample_design(cfg.n, int(round(gamma * cfg.n)),
+                               cfg.spectrum, "gaussian", seed)
+        return [row(gamma, value, design, spec) for spec in cfg.specs]
 
-    cells = [(float(g), s) for g in raw["gammas"] for s in seeds]
-    sim_rows = [row for chunk in _pool_map(cell, cells, workers)
-                for row in chunk]
+    cells = [(g, v, s) for g in cfg.gammas for v in cfg.sweep
+             for s in cfg.seeds]
+    return [out for chunk in _pool_map(cell, cells, workers)
+            for out in chunk]
+
+
+def _sim_row(cfg: ExperimentConfig, gamma: float, design, spec,
+             label_model: str, bias: float, variance: float,
+             risk: float) -> list:
+    return [design.seed, design.n, design.d, gamma, spec.label, spec.alpha,
+            cfg.sigma2, label_model, bias, variance, risk]
+
+
+def _run_stationary(cfg: ExperimentConfig, workers: int) -> dict:
+    theory_rows = [risk_report(cfg.spectrum, cfg.prior, spec, gamma,
+                               cfg.sigma2).to_csv_row()
+                   for gamma in cfg.gammas for spec in cfg.specs]
+
+    def row(gamma, _, design, spec):
+        point = trajectory(design, spec, cfg.prior, cfg.sigma2,
+                           [math.inf])[0]
+        return _sim_row(cfg, gamma, design, spec, "well_specified",
+                        point.bias, point.variance, point.risk)
+
     return {"theory.csv": (RISK_CSV_COLUMNS, theory_rows),
-            "sim.csv": (SIM_CSV_COLUMNS, sim_rows)}
+            "sim.csv": (SIM_CSV_COLUMNS, _design_rows(cfg, workers, row))}
 
 
 def _run_trajectory(cfg: ExperimentConfig, workers: int) -> dict:
-    raw = cfg.raw
-    fx = build_spectrum(raw["spectrum"])
-    prior = build_prior(raw["prior"])
-    sigma2 = float(raw["sigma2"])
-    n = int(raw["n"])
-    gamma = float(raw["gammas"][0])
-    d = int(round(gamma * n))
-    specs = [build_precond(p, f"preconditioners[{i}]")
-             for i, p in enumerate(raw["preconditioners"])]
-    seeds = [int(s) for s in raw["seeds"]]
-    grid_spec = _resolve_t_grid(raw)
+    def row(gamma, _, design, spec):
+        t_grid = None if cfg.t_grid is None else cfg.t_grid.times(design,
+                                                                  spec)
+        return [[design.seed, p.t, p.bias, p.variance, p.risk]
+                for p in trajectory(design, spec, cfg.prior, cfg.sigma2,
+                                    t_grid)]
 
-    def cell(args):
-        spec, seed = args
-        design = sample_design(n, d, fx, "gaussian", seed)
-        if grid_spec is None or isinstance(grid_spec, tuple):
-            t_grid = None
-            if isinstance(grid_spec, tuple):
-                _, lo, hi, points = grid_spec
-                t_grid = default_time_grid(design, spec, points, lo, hi)
-        else:
-            t_grid = grid_spec
-        points = trajectory(design, spec, prior, sigma2, t_grid)
-        return spec, [[seed, p.t, p.bias, p.variance, p.risk]
-                      for p in points]
-
-    cells = [(spec, seed) for spec in specs for seed in seeds]
-    results = _pool_map(cell, cells, workers)
+    results = _design_rows(cfg, workers, row)
     outputs: dict = {}
-    for spec, rows in results:
+    for k, spec in enumerate(cfg.specs):
         name = f"trajectory_{spec.label}.csv"
-        outputs.setdefault(name, (TRAJECTORY_CSV_COLUMNS, []))
-        outputs[name][1].extend(rows)
+        rows = outputs.setdefault(name, (TRAJECTORY_CSV_COLUMNS, []))[1]
+        for chunk in results[k::len(cfg.specs)]:
+            rows.extend(chunk)
     return outputs
 
 
 def _run_alpha_sweep(cfg: ExperimentConfig, workers: int) -> dict:
-    raw = cfg.raw
-    fx = build_spectrum(raw["spectrum"])
-    prior = build_prior(raw["prior"])
-    sigma2 = float(raw["sigma2"])
-    rows = []
-    for gamma in raw["gammas"]:
-        for family in raw["families"]:
-            for _, report in sweep_alpha(fx, prior, float(gamma), sigma2,
-                                         family, raw["alphas"]):
-                rows.append(report.to_csv_row())
+    rows = [report.to_csv_row()
+            for gamma in cfg.gammas for family in cfg.families
+            for _, report in sweep_alpha(cfg.spectrum, cfg.prior, gamma,
+                                         cfg.sigma2, family, cfg.sweep)]
     return {"sweep.csv": (RISK_CSV_COLUMNS, rows)}
 
 
 def _run_misspec_quadratic(cfg: ExperimentConfig, workers: int) -> dict:
-    raw = cfg.raw
-    fx = build_spectrum(raw["spectrum"])
-    prior = build_prior(raw["prior"])
-    sigma2 = float(raw["sigma2"])
-    n = int(raw["n"])
-    gamma = float(raw["gammas"][0])
-    d = int(round(gamma * n))
-    specs = [build_precond(p, f"preconditioners[{i}]")
-             for i, p in enumerate(raw["preconditioners"])]
-    seeds = [int(s) for s in raw["seeds"]]
-    test_points = int(raw.get("test_points", 100_000))
+    def row(gamma, alpha_q, design, spec):
+        model = LabelModel(kind="quadratic", sigma=math.sqrt(cfg.sigma2),
+                           prior_map=cfg.prior, alpha_q=alpha_q)
+        summary = simulate_risk([design], spec, model,
+                                test_points=cfg.test_points)
+        return _sim_row(cfg, gamma, design, spec, model.label, math.nan,
+                        math.nan, summary.mean_risk)
 
-    def cell(args):
-        alpha_q, seed = args
-        design = sample_design(n, d, fx, "gaussian", seed)
-        model = LabelModel(kind="quadratic", sigma=math.sqrt(sigma2),
-                           prior_map=prior, alpha_q=alpha_q)
-        out = []
-        for spec in specs:
-            summary = simulate_risk([design], spec, model,
-                                    test_points=test_points)
-            out.append([seed, n, d, gamma, spec.label,
-                        None if spec.alpha is None else spec.alpha, sigma2,
-                        model.label, math.nan, math.nan,
-                        summary.mean_risk])
-        return out
-
-    cells = [(float(a), s) for a in raw["alpha_q_values"] for s in seeds]
-    rows = [row for chunk in _pool_map(cell, cells, workers)
-            for row in chunk]
-    return {"sim.csv": (SIM_CSV_COLUMNS, rows)}
+    return {"sim.csv": (SIM_CSV_COLUMNS, _design_rows(cfg, workers, row))}
 
 
 def _run_misspec_unobserved(cfg: ExperimentConfig, workers: int) -> dict:
-    raw = cfg.raw
-    fx = build_spectrum(raw["spectrum"])
-    prior = build_prior(raw["prior"])
-    sigma2 = float(raw["sigma2"])
-    n = int(raw["n"])
-    gamma = float(raw["gammas"][0])
-    d = int(round(gamma * n))
-    d_c = int(raw["d_c"])
-    specs = [build_precond(p, f"preconditioners[{i}]")
-             for i, p in enumerate(raw["preconditioners"])]
-    seeds = [int(s) for s in raw["seeds"]]
-
+    gamma = cfg.gammas[0]
+    # the variance and the joint spectrum do not depend on the trace term
+    joints = [make_joint(cfg.spectrum, cfg.prior, spec) for spec in cfg.specs]
+    variances = [risk_report(cfg.spectrum, cfg.prior, spec, gamma,
+                             cfg.sigma2).variance for spec in cfg.specs]
     theory_rows = []
-    for tau in raw["trace_terms"]:
-        for spec in specs:
-            joint = make_joint(fx, prior, spec)
-            bias = misspecified_bias(joint, gamma, MisspecSpec(float(tau)))
-            base = risk_report(fx, prior, spec, gamma, sigma2)
-            theory_rows.append([float(tau), gamma, sigma2, spec.label,
-                                None if spec.alpha is None else spec.alpha,
-                                bias, base.variance, bias + base.variance])
+    for tau in cfg.sweep:
+        for spec, joint, variance in zip(cfg.specs, joints, variances):
+            bias = misspecified_bias(joint, gamma, MisspecSpec(tau))
+            theory_rows.append([tau, gamma, cfg.sigma2, spec.label,
+                                spec.alpha, bias, variance, bias + variance])
 
-    def cell(args):
-        tau, seed = args
-        design = sample_design(n, d, fx, "gaussian", seed)
-        block = UnobservedBlock.isotropic(d_c, tau)
-        model = LabelModel(kind="unobserved", sigma=math.sqrt(sigma2),
-                           prior_map=prior, unobserved=block)
-        out = []
-        for spec in specs:
-            summary = simulate_risk([design], spec, model)
-            out.append([seed, n, d, gamma, spec.label,
-                        None if spec.alpha is None else spec.alpha, sigma2,
-                        model.label, summary.mean_bias,
-                        summary.mean_variance, summary.mean_risk])
-        return out
+    def row(gamma, tau, design, spec):
+        block = UnobservedBlock.isotropic(cfg.d_c, tau)
+        model = LabelModel(kind="unobserved", sigma=math.sqrt(cfg.sigma2),
+                           prior_map=cfg.prior, unobserved=block)
+        summary = simulate_risk([design], spec, model)
+        return _sim_row(cfg, gamma, design, spec, model.label,
+                        summary.mean_bias, summary.mean_variance,
+                        summary.mean_risk)
 
-    cells = [(float(t), s) for t in raw["trace_terms"] for s in seeds]
-    sim_rows = [row for chunk in _pool_map(cell, cells, workers)
-                for row in chunk]
     theory_columns = ("trace_term", "gamma", "sigma2", "preconditioner",
                       "alpha", "bias", "variance", "total")
     return {"misspec_theory.csv": (theory_columns, theory_rows),
-            "sim.csv": (SIM_CSV_COLUMNS, sim_rows)}
+            "sim.csv": (SIM_CSV_COLUMNS, _design_rows(cfg, workers, row))}
 
 
 def _run_yky(cfg: ExperimentConfig, workers: int) -> dict:
-    raw = cfg.raw
-    fx = build_spectrum(raw["spectrum"])
-    prior = build_prior(raw["prior"])
-    n = int(raw["n"])
-    gamma = float(raw["gammas"][0])
-    d = int(round(gamma * n))
-    seeds = [int(s) for s in raw["seeds"]]
-    levels = [float(s) for s in raw["noise_levels"]]
+    n = cfg.n
     # one fixed design; only the labels are resampled
-    design = sample_design(n, d, fx, "gaussian", seeds[0])
-    model = LabelModel(kind="well_specified", sigma=0.0, prior_map=prior)
+    design = sample_design(n, int(round(cfg.gammas[0] * n)), cfg.spectrum,
+                           "gaussian", cfg.seeds[0])
+    model = LabelModel(kind="well_specified", sigma=0.0, prior_map=cfg.prior)
 
     labels, keys = [], []
-    for seed in seeds:
+    for seed in cfg.seeds:
         rng = _rng(seed, stream=1)
         theta_star = model.sample_theta_star(design, rng)
         base_noise = rng.standard_normal(n)
         signal = design.X @ theta_star
-        for sigma in levels:
+        for sigma in cfg.sweep:
             labels.append(signal + sigma * base_noise)
             keys.append((sigma, seed))
     # every label vector against one factorization of the fixed design
@@ -586,99 +585,66 @@ def _run_yky(cfg: ExperimentConfig, workers: int) -> dict:
     rows = [[sigma, seed, float(v)] for (sigma, seed), v in zip(keys, values)]
     means = [[sigma,
               float(np.mean([r[2] for r in rows if r[0] == sigma]))]
-             for sigma in levels]
+             for sigma in cfg.sweep]
     return {"yky.csv": (("sigma", "seed", "diagnostic"), rows),
             "yky_mean.csv": (("sigma", "mean_diagnostic"), means)}
 
 
 def _run_alignment(cfg: ExperimentConfig, workers: int) -> dict:
-    raw = cfg.raw
-    fx = build_spectrum(raw["spectrum"])
-    sigma2 = float(raw["sigma2"])
-    n = int(raw["n"])
-    gamma = float(raw["gammas"][0])
-    d = int(round(gamma * n))
-    specs = [build_precond(p, f"preconditioners[{i}]")
-             for i, p in enumerate(raw["preconditioners"])]
-    seeds = [int(s) for s in raw["seeds"]]
-    exponents = [float(a) for a in raw["prior_exponents"]]
-
-    def prior_for(expo):
-        return lambda x: np.asarray(x, dtype=float) ** (-expo)
-
+    gamma = cfg.gammas[0]
     theory_rows = []
-    for expo in exponents:
-        for spec in specs:
-            report = risk_report(fx, prior_for(expo), spec, gamma, sigma2)
-            theory_rows.append([expo, spec.label,
-                                None if spec.alpha is None else spec.alpha,
-                                report.bias])
+    for expo in cfg.sweep:
+        prior = build_prior({"kind": "power", "exponent": expo})
+        for spec in cfg.specs:
+            report = risk_report(cfg.spectrum, prior, spec, gamma,
+                                 cfg.sigma2)
+            theory_rows.append([expo, spec.label, spec.alpha, report.bias])
 
-    def cell(args):
-        expo, seed = args
-        design = sample_design(n, d, fx, "gaussian", seed)
-        prior = prior_for(expo)
-        out = []
-        for spec in specs:
-            points = trajectory(design, spec, prior, sigma2, None)
-            stop = optimal_early_stopping(points)
-            stationary_bias = conditional_bias(design, spec, prior)
-            out.append([expo, spec.label,
-                        None if spec.alpha is None else spec.alpha, seed,
-                        stationary_bias, stop.bias_opt, stop.t_bias])
-        return out
+    def row(gamma, expo, design, spec):
+        prior = build_prior({"kind": "power", "exponent": expo})
+        stop = optimal_early_stopping(
+            trajectory(design, spec, prior, cfg.sigma2, None))
+        return [expo, spec.label, spec.alpha, design.seed,
+                conditional_bias(design, spec, prior), stop.bias_opt,
+                stop.t_bias]
 
-    cells = [(e, s) for e in exponents for s in seeds]
-    sim_rows = [row for chunk in _pool_map(cell, cells, workers)
-                for row in chunk]
     theory_columns = ("prior_exponent", "preconditioner", "alpha", "bias")
     sim_columns = ("prior_exponent", "preconditioner", "alpha", "seed",
                    "bias_stationary", "bias_opt", "t_bias")
     return {"alignment_theory.csv": (theory_columns, theory_rows),
-            "alignment_sim.csv": (sim_columns, sim_rows)}
+            "alignment_sim.csv": (sim_columns,
+                                  _design_rows(cfg, workers, row))}
 
 
 def _run_rkhs(cfg: ExperimentConfig, workers: int) -> dict:
-    params = cfg.raw["rkhs"]
-    N = int(params["N"])
-    s = float(params["s"])
-    eta = float(params.get("eta", 0.5))
-    T = int(params.get("T", 300))
-    sigma = float(params.get("sigma", 0.0))
-    model_seed = int(params.get("model_seed", 0))
-    data_seed = int(params.get("data_seed", 0))
-    threshold_factor = float(params.get("threshold_factor", 2.0))
-    ns = [int(n) for n in params["ns"]]
-
+    p = cfg.rkhs
     traj_rows = []
     sweep_rows = []
-    for r in params["r_values"]:
-        model = build_model(N, s, float(r), seed=model_seed)
-        for n in ns:
-            dataset = make_dataset(model, n, sigma, seed=data_seed + n)
-            if params["alphas"] == "rate_optimal":
-                alphas = [rate_optimal_damping(n, s, float(r))]
-            else:
-                alphas = [float(a) for a in params["alphas"]]
+    for r in p.r_values:
+        model = build_model(p.N, p.s, r, seed=p.model_seed)
+        for n in p.ns:
+            dataset = make_dataset(model, n, p.sigma, seed=p.data_seed + n)
+            alphas = p.alphas if p.alphas is not None \
+                else [rate_optimal_damping(n, p.s, r)]
 
             def cell(alpha):
-                return alpha, run_preconditioned(model, dataset, eta,
-                                                 alpha, T)
+                risks = run_preconditioned(model, dataset, p.eta, alpha, p.T)
+                # a diverging iteration overflows to inf, then to nan
+                return alpha, np.where(np.isnan(risks), math.inf, risks)
 
             results = _pool_map(cell, alphas, workers)
-            best_overall = min(float(risks.min())
-                               for _, risks in results)
-            threshold = threshold_factor * best_overall
+            threshold = p.threshold_factor * min(float(risks.min())
+                                                 for _, risks in results)
             for alpha, risks in results:
                 for t, risk in enumerate(risks):
-                    traj_rows.append([n, N, s, float(r), alpha, eta, t,
+                    traj_rows.append([n, p.N, p.s, r, alpha, p.eta, t,
                                       float(risk)])
                 best = int(np.argmin(risks))
-                hits = np.nonzero(risks <= threshold)[0]
-                its = int(hits[0]) if hits.size else None
-                sweep_rows.append([n, N, s, float(r), alpha, eta,
+                sweep_rows.append([n, p.N, p.s, r, alpha, p.eta,
                                    float(risks[best]), best,
-                                   float(risks[-1]), its])
+                                   float(risks[-1]),
+                                   iterations_to_threshold(risks,
+                                                           threshold)])
     sweep_columns = ("n", "N", "s", "r", "alpha", "eta", "best_risk",
                      "best_iter", "final_risk", "iters_to_threshold")
     return {"rkhs_traj.csv": (RKHS_CSV_COLUMNS, traj_rows),
@@ -713,7 +679,7 @@ def run(config: ExperimentConfig | dict, out_dir: str | None = None,
     start = time.monotonic()
     outputs = _RUNNERS[config.kind](config, max(1, int(workers)))
 
-    prefix = config.raw.get("output_prefix", config.experiment)
+    prefix = config.prefix
     digests = {}
     columns_manifest = {}
     for name, (columns, rows) in sorted(outputs.items()):
@@ -745,6 +711,7 @@ def run(config: ExperimentConfig | dict, out_dir: str | None = None,
     return manifest
 
 
+
 # ---------------------------------------------------------------------------
 # presets
 
@@ -757,6 +724,17 @@ _PRIOR_ISO = {"kind": "constant", "value": 1.0}
 _PRIOR_INV = {"kind": "power", "exponent": 1.0}
 _GD_NGD = [{"kind": "identity"}, {"kind": "inverse_pop_fisher"}]
 _GD_NGD_POW = _GD_NGD + [{"kind": "power", "alpha": 0.5}]
+_FIG3 = {
+    "schema_version": 1,
+    "kind": "stationary",
+    "spectrum": _TWO_ATOM_20,
+    "prior": _PRIOR_ISO,
+    "gammas": [1.25, 1.5, 2.0, 3.0, 5.0],
+    "n": 300,
+    "sigma2": 1.0,
+    "preconditioners": _GD_NGD_POW,
+    "seeds": _seeds(20),
+}
 
 PRESETS: dict[str, dict] = {
     "fig1": {
@@ -791,48 +769,16 @@ PRESETS: dict[str, dict] = {
                    "points": 60},
         "seeds": _seeds(5),
     },
-    "fig3a": {
-        "schema_version": 1,
-        "experiment": "fig3a",
-        "description": "Stationary variance vs gamma: theory curves with "
-                       "n=300 Monte Carlo dots",
-        "kind": "stationary",
-        "spectrum": _TWO_ATOM_20,
-        "prior": _PRIOR_ISO,
-        "gammas": [1.25, 1.5, 2.0, 3.0, 5.0],
-        "n": 300,
-        "sigma2": 1.0,
-        "preconditioners": _GD_NGD_POW,
-        "seeds": _seeds(20),
-    },
-    "fig3b": {
-        "schema_version": 1,
-        "experiment": "fig3b",
-        "description": "Stationary bias vs gamma under the aligned prior "
-                       "Sigma_theta = I",
-        "kind": "stationary",
-        "spectrum": _TWO_ATOM_20,
-        "prior": _PRIOR_ISO,
-        "gammas": [1.25, 1.5, 2.0, 3.0, 5.0],
-        "n": 300,
-        "sigma2": 1.0,
-        "preconditioners": _GD_NGD_POW,
-        "seeds": _seeds(20),
-    },
-    "fig3c": {
-        "schema_version": 1,
-        "experiment": "fig3c",
-        "description": "Stationary bias vs gamma under the misaligned "
-                       "prior Sigma_theta = Sigma_X^-1",
-        "kind": "stationary",
-        "spectrum": _TWO_ATOM_20,
-        "prior": _PRIOR_INV,
-        "gammas": [1.25, 1.5, 2.0, 3.0, 5.0],
-        "n": 300,
-        "sigma2": 1.0,
-        "preconditioners": _GD_NGD_POW,
-        "seeds": _seeds(20),
-    },
+    # fig3b is fig3a under another name: the same config, the same numbers
+    "fig3a": dict(_FIG3, experiment="fig3a",
+                  description="Stationary variance vs gamma: theory curves "
+                              "with n=300 Monte Carlo dots"),
+    "fig3b": dict(_FIG3, experiment="fig3b",
+                  description="Stationary bias vs gamma under the aligned "
+                              "prior Sigma_theta = I"),
+    "fig3c": dict(_FIG3, experiment="fig3c", prior=_PRIOR_INV,
+                  description="Stationary bias vs gamma under the misaligned "
+                              "prior Sigma_theta = Sigma_X^-1"),
     "fig5": {
         "schema_version": 1,
         "experiment": "fig5",

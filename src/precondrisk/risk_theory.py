@@ -102,13 +102,16 @@ def theoretical_variance(f_xp: SpectralMeasure, gamma: float, sigma2: float
     return sigma2 * (sol.ratio - 1.0)
 
 
+def _bias(joint: JointSpectrum, sol) -> float:
+    """(m'/m^2) * E[v_x v_theta / (1 + v_xp m)^2] at a solved m."""
+    return sol.ratio * float(np.sum(
+        joint.weights * joint.ux * joint.utheta
+        / (1.0 + joint.uxp * sol.m0) ** 2))
+
+
 def theoretical_bias(joint: JointSpectrum, gamma: float) -> float:
     """Asymptotic bias (m'/m^2) * E[v_x v_theta / (1 + v_xp m)^2]."""
-    sol = solve_m(joint.xp_measure(), gamma, 0.0)
-    weights = joint.weights
-    expectation = float(np.sum(
-        weights * joint.ux * joint.utheta / (1.0 + joint.uxp * sol.m0) ** 2))
-    return sol.ratio * expectation
+    return _bias(joint, solve_m(joint.xp_measure(), gamma, 0.0))
 
 
 def bias_lower_bound(fx: SpectralMeasure, prior_map, gamma: float) -> float:
@@ -132,18 +135,15 @@ def misspecified_bias(joint: JointSpectrum, gamma: float, mis: MisspecSpec
     """
     sol = solve_m(joint.xp_measure(), gamma, 0.0)
     v0 = sol.ratio - 1.0
-    return theoretical_bias(joint, gamma) + mis.trace_term * (1.0 + v0)
+    return _bias(joint, sol) + mis.trace_term * (1.0 + v0)
 
 
 def risk_report(fx: SpectralMeasure, prior_map, spec: PreconditionerSpec,
                 gamma: float, sigma2: float) -> RiskReport:
     """Full asymptotic report for one preconditioner."""
     joint = make_joint(fx, prior_map, spec)
-    f_xp = joint.xp_measure()
-    sol = solve_m(f_xp, gamma, 0.0)
-    weights = joint.weights
-    bias = sol.ratio * float(np.sum(
-        weights * joint.ux * joint.utheta / (1.0 + joint.uxp * sol.m0) ** 2))
+    sol = solve_m(joint.xp_measure(), gamma, 0.0)
+    bias = _bias(joint, sol)
     variance = sigma2 * (sol.ratio - 1.0)
     return RiskReport(bias=bias, variance=variance, total=bias + variance,
                       m0=sol.m0, m_prime=sol.m_prime, gamma=gamma,

@@ -74,6 +74,21 @@ class TestRun:
         assert run_cli(["run", "--config", str(path)]) == 2
         assert "seeds" in capsys.readouterr().err
 
+    def test_path_like_experiment_exits_2_and_writes_nothing(
+            self, tmp_path, capsys):
+        config = {"schema_version": 1, "experiment": "../escaped",
+                  "kind": "yky", "spectrum": {"kind": "two_atom",
+                                              "kappa": 5.0},
+                  "prior": {"kind": "constant", "value": 1.0},
+                  "gammas": [2.0], "n": 20, "sigma2": 1.0,
+                  "noise_levels": [0.0, 1.0], "seeds": [0]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["run", "--config", str(path), "--out",
+                        str(tmp_path / "out")]) == 2
+        assert "experiment" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_name_and_config_conflict(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{}")

@@ -1,15 +1,25 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from precondrisk import ConfigError, UnknownExperimentError
-from precondrisk.experiments import (PRESETS, ExperimentConfig,
+from precondrisk import (ConfigError, LabelModel, MisspecSpec,
+                         PreconditionerSpec, UnknownExperimentError,
+                         UnobservedBlock, build_model, conditional_bias,
+                         default_time_grid, iterations_to_threshold,
+                         make_dataset, make_joint, make_two_atom,
+                         misspecified_bias, optimal_early_stopping,
+                         risk_report, run_preconditioned, sample_design,
+                         simulate_risk, sweep_alpha, trajectory,
+                         yky_diagnostic)
+from precondrisk.experiments import (PRESETS, ExperimentConfig, _format_cell,
                                      emit_plot_script, get_preset,
                                      list_experiments, run, write_csv)
-from precondrisk.finite_sim import GENERATOR_NAME
+from precondrisk.finite_sim import GENERATOR_NAME, _rng
+from precondrisk.risk_theory import RISK_CSV_COLUMNS
 
 
 def tiny_stationary(seeds=(0, 1)):
@@ -26,6 +36,17 @@ def tiny_stationary(seeds=(0, 1)):
                             {"kind": "inverse_pop_fisher"}],
         "seeds": list(seeds),
     }
+
+
+# a small RKHS damping sweep that converges in every cell
+TINY_RKHS = {"N": 50, "s": 2.0, "r_values": [0.75], "ns": [20],
+             "alphas": [0.1, 1.0], "eta": 0.5, "T": 20, "sigma": 0.01,
+             "model_seed": 1, "data_seed": 2, "threshold_factor": 3.0}
+
+
+def as_rkhs(**changes):
+    """A mutation turning a config into the tiny RKHS sweep plus changes."""
+    return lambda c: c.update(kind="rkhs", rkhs=dict(TINY_RKHS, **changes))
 
 
 class TestPresets:
@@ -85,6 +106,49 @@ class TestConfigValidation:
         (lambda c: c.update(spectrum={"kind": "two_atom", "kappa": 0.5}),
          "spectrum.kappa"),
         (lambda c: c.update(prior={"kind": "spike"}), "prior.kind"),
+        (lambda c: c.update(seeds=[-1]), "seeds[0]"),
+        # non-finite numbers
+        (lambda c: c.update(gammas=[math.nan]), "gammas[0]"),
+        (lambda c: c.update(gammas=[2.0, math.inf]), "gammas[1]"),
+        pytest.param(lambda c: c.update(sigma2=math.nan), "sigma2",
+                     id="<lambda>-sigma2-nan"),
+        # names that are not bare file names
+        (lambda c: c.update(experiment="../escaped"), "experiment"),
+        (lambda c: c.update(experiment="sub/dir/x"), "experiment"),
+        (lambda c: c.update(output_prefix=5), "output_prefix"),
+        (lambda c: c.update(output_prefix=".."), "output_prefix"),
+        # test_points must be an int >= 1
+        (lambda c: c.update(kind="misspec_quadratic", alpha_q_values=[0.0],
+                            test_points="abc"), "test_points"),
+        (lambda c: c.update(kind="misspec_quadratic", alpha_q_values=[0.0],
+                            test_points=0), "test_points"),
+        (lambda c: c.update(kind="misspec_quadratic", alpha_q_values=[0.0],
+                            test_points=-5), "test_points"),
+        # rkhs seeds must be ints >= 0, the threshold factor a number > 0
+        (as_rkhs(model_seed=-1), "rkhs.model_seed"),
+        (as_rkhs(model_seed=1.5), "rkhs.model_seed"),
+        (as_rkhs(data_seed=-3), "rkhs.data_seed"),
+        (as_rkhs(threshold_factor=0), "rkhs.threshold_factor"),
+        (as_rkhs(threshold_factor="x"), "rkhs.threshold_factor"),
+        # bools are not ints
+        (as_rkhs(T=True), "rkhs.T"),
+        (lambda c: c.update(kind="misspec_unobserved", trace_terms=[0.5],
+                            d_c=True), "d_c"),
+        # yky needs an int n
+        pytest.param(lambda c: (c.update(kind="yky", noise_levels=[0.0, 1.0]),
+                                c.pop("n")), "n", id="<lambda>-n-yky-missing"),
+        pytest.param(lambda c: c.update(kind="yky", noise_levels=[0.0, 1.0],
+                                        n="20"), "n", id="<lambda>-n-yky-str"),
+        # the single-gamma kinds take exactly one gamma
+        (lambda c: c.update(kind="trajectory", gammas=[2.0, 3.0]), "gammas"),
+        (lambda c: c.update(kind="misspec_quadratic", gammas=[2.0, 3.0],
+                            alpha_q_values=[0.0]), "gammas"),
+        (lambda c: c.update(kind="misspec_unobserved", gammas=[2.0, 3.0],
+                            trace_terms=[0.5], d_c=10), "gammas"),
+        (lambda c: c.update(kind="yky", gammas=[2.0, 3.0],
+                            noise_levels=[0.0, 1.0]), "gammas"),
+        (lambda c: c.update(kind="alignment", gammas=[2.0, 3.0],
+                            prior_exponents=[0.0]), "gammas"),
     ])
     def test_errors_name_the_field(self, mutate, path):
         raw = tiny_stationary()
@@ -203,3 +267,168 @@ class TestPlotEmission:
             emit_plot_script([str(tmp_path / "ghost.csv")], "alpha",
                              str(tmp_path / "p.py"))
         assert "ghost.csv" in str(exc.value)
+
+
+def read_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def tiny(kind, seeds=(3,), **fields):
+    """tiny_stationary() as a config of ``kind`` with ``fields`` added."""
+    raw = tiny_stationary(seeds)
+    raw.update(kind=kind, **fields)
+    return raw
+
+
+class TestEveryKind:
+    """One tiny config per kind through ``run``; one row of each output
+    file equals a direct library call on the same seed."""
+
+    # tiny_stationary's spectrum, prior and design size
+    fx = make_two_atom(5.0)
+
+    @staticmethod
+    def iso(x):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+    def design(self, seed):
+        return sample_design(40, 80, self.fx, "gaussian", seed)
+
+    def test_stationary(self, tmp_path):
+        run(tiny_stationary(seeds=(3,)), out_dir=str(tmp_path))
+        row = read_rows(tmp_path / "tiny_sim.csv")[1]
+        point = trajectory(self.design(3), PreconditionerSpec
+                           .inverse_pop_fisher(), self.iso, 1.0,
+                           [math.inf])[0]
+        assert (row["seed"], row["d"], row["preconditioner"]) \
+            == ("3", "80", "inverse_pop_fisher")
+        assert [float(row[k]) for k in ("bias", "variance", "risk")] \
+            == [point.bias, point.variance, point.risk]
+        theory = read_rows(tmp_path / "tiny_theory.csv")[1]
+        rep = risk_report(self.fx, self.iso,
+                          PreconditionerSpec.inverse_pop_fisher(), 2.0, 1.0)
+        assert float(theory["bias"]) == rep.bias
+
+    def test_trajectory(self, tmp_path):
+        grid = {"scale": "lambda_max", "lo": 0.1, "hi": 10.0, "points": 4}
+        run(tiny("trajectory", seeds=(3, 4), t_grid=grid),
+            out_dir=str(tmp_path))
+        for spec in (PreconditionerSpec.identity(),
+                     PreconditionerSpec.inverse_pop_fisher()):
+            rows = read_rows(tmp_path / f"tiny_trajectory_{spec.label}.csv")
+            assert [r["seed"] for r in rows] == ["3"] * 4 + ["4"] * 4
+            design = self.design(4)
+            times = default_time_grid(design, spec, 4, 0.1, 10.0)
+            point = trajectory(design, spec, self.iso, 1.0, times)[2]
+            assert [float(rows[6][k]) for k in ("t", "bias", "variance",
+                                                  "risk")] \
+                == [point.t, point.bias, point.variance, point.risk]
+
+    def test_alpha_sweep(self, tmp_path):
+        run(tiny("alpha_sweep", families=["power"], alphas=[0.0, 0.5]),
+            out_dir=str(tmp_path))
+        row = read_rows(tmp_path / "tiny_sweep.csv")[1]
+        _, rep = sweep_alpha(self.fx, self.iso, 2.0, 1.0, "power",
+                             [0.0, 0.5])[1]
+        assert [row[k] for k in RISK_CSV_COLUMNS] \
+            == [_format_cell(v) for v in rep.to_csv_row()]
+
+    def test_misspec_quadratic(self, tmp_path):
+        run(tiny("misspec_quadratic", alpha_q_values=[0.0, 0.01],
+                 test_points=500), out_dir=str(tmp_path))
+        row = read_rows(tmp_path / "tiny_sim.csv")[3]
+        model = LabelModel(kind="quadratic", sigma=1.0, prior_map=self.iso,
+                           alpha_q=0.01)
+        summary = simulate_risk([self.design(3)],
+                                PreconditionerSpec.inverse_pop_fisher(),
+                                model, test_points=500)
+        assert row["label_model"] == model.label
+        assert (row["bias"], row["variance"]) == ("", "")
+        assert float(row["risk"]) == summary.mean_risk
+
+    def test_misspec_unobserved(self, tmp_path):
+        run(tiny("misspec_unobserved", trace_terms=[0.5], d_c=10),
+            out_dir=str(tmp_path))
+        spec = PreconditionerSpec.inverse_pop_fisher()
+        row = read_rows(tmp_path / "tiny_sim.csv")[1]
+        model = LabelModel(kind="unobserved", sigma=1.0, prior_map=self.iso,
+                           unobserved=UnobservedBlock.isotropic(10, 0.5))
+        summary = simulate_risk([self.design(3)], spec, model)
+        assert [float(row[k]) for k in ("bias", "variance", "risk")] \
+            == [summary.mean_bias, summary.mean_variance, summary.mean_risk]
+        theory = read_rows(tmp_path / "tiny_misspec_theory.csv")[1]
+        bias = misspecified_bias(make_joint(self.fx, self.iso, spec), 2.0,
+                                 MisspecSpec(0.5))
+        variance = risk_report(self.fx, self.iso, spec, 2.0, 1.0).variance
+        assert [float(theory[k]) for k in ("bias", "variance", "total")] \
+            == [bias, variance, bias + variance]
+
+    def test_yky(self, tmp_path):
+        run(tiny("yky", seeds=(3, 4), noise_levels=[0.0, 1.0]),
+            out_dir=str(tmp_path))
+        rows = read_rows(tmp_path / "tiny_yky.csv")
+        design = self.design(3)  # one design, from the first seed
+        values = []
+        for seed in (3, 4):  # the labels of each seed at noise 1.0
+            rng = _rng(seed, stream=1)
+            model = LabelModel(kind="well_specified", sigma=0.0,
+                               prior_map=self.iso)
+            theta = model.sample_theta_star(design, rng)
+            y = design.X @ theta + 1.0 * rng.standard_normal(40)
+            values.append(yky_diagnostic(design, y))
+        assert (rows[3]["sigma"], rows[3]["seed"]) == ("1", "4")
+        assert float(rows[3]["diagnostic"]) == pytest.approx(values[1],
+                                                             rel=1e-12)
+        mean = read_rows(tmp_path / "tiny_yky_mean.csv")[1]
+        assert float(mean["mean_diagnostic"]) == pytest.approx(
+            np.mean(values), rel=1e-12)
+
+    def test_alignment(self, tmp_path):
+        run(tiny("alignment", prior_exponents=[0.0, 1.0]),
+            out_dir=str(tmp_path))
+        spec = PreconditionerSpec.inverse_pop_fisher()
+        prior = lambda x: np.asarray(x, dtype=float) ** -1.0  # noqa: E731
+        row = read_rows(tmp_path / "tiny_alignment_sim.csv")[3]
+        design = self.design(3)
+        stop = optimal_early_stopping(trajectory(design, spec, prior, 1.0))
+        assert (row["prior_exponent"], row["preconditioner"]) \
+            == ("1", "inverse_pop_fisher")
+        assert [float(row[k]) for k in ("bias_stationary", "bias_opt",
+                                        "t_bias")] \
+            == [conditional_bias(design, spec, prior), stop.bias_opt,
+                stop.t_bias]
+        theory = read_rows(tmp_path / "tiny_alignment_theory.csv")[3]
+        assert float(theory["bias"]) \
+            == risk_report(self.fx, prior, spec, 2.0, 1.0).bias
+
+    def test_rkhs(self, tmp_path):
+        run({"schema_version": 1, "experiment": "tiny", "kind": "rkhs",
+             "rkhs": TINY_RKHS}, out_dir=str(tmp_path))
+        model = build_model(50, 2.0, 0.75, seed=1)
+        data = make_dataset(model, 20, 0.01, seed=2 + 20)
+        risks = [run_preconditioned(model, data, 0.5, a, 20)
+                 for a in (0.1, 1.0)]
+        traj = read_rows(tmp_path / "tiny_rkhs_traj.csv")
+        assert (traj[21 + 7]["alpha"], traj[21 + 7]["t"]) == ("1", "7")
+        assert float(traj[21 + 7]["risk"]) == risks[1][7]
+        row = read_rows(tmp_path / "tiny_rkhs_sweep.csv")[1]
+        threshold = 3.0 * min(float(r.min()) for r in risks)
+        assert [float(row["best_risk"]), int(row["best_iter"]),
+                float(row["final_risk"]), int(row["iters_to_threshold"])] \
+            == [risks[1].min(), int(np.argmin(risks[1])), risks[1][-1],
+                iterations_to_threshold(risks[1], threshold)]
+
+    # the alpha = 1e-4 iteration overflows to inf by step 431, then to nan
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rkhs_diverged_cell_is_inf(self, tmp_path):
+        params = dict(TINY_RKHS, alphas=[1e-4, 0.1], T=900)
+        run({"schema_version": 1, "experiment": "tiny", "kind": "rkhs",
+             "rkhs": params}, out_dir=str(tmp_path))
+        traj = read_rows(tmp_path / "tiny_rkhs_traj.csv")
+        assert traj[900]["risk"] == "inf"
+        diverged, converged = read_rows(tmp_path / "tiny_rkhs_sweep.csv")
+        assert diverged["final_risk"] == "inf"
+        assert math.isfinite(float(diverged["best_risk"]))
+        # the threshold is 3 x the best finite risk, so it is reached
+        assert int(converged["iters_to_threshold"]) <= 900
