@@ -92,7 +92,7 @@ def _load_config(args) -> ExperimentConfig:
                 raw = json.load(handle)
         except OSError as exc:
             raise ConfigError("--config", str(exc)) from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, UTF-8 or an over-long integer
             raise ConfigError("--config", f"invalid JSON: {exc}") from None
         config = ExperimentConfig.from_dict(raw)
     elif args.name is not None:

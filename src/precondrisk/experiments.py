@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -90,6 +91,8 @@ def _check_number(value, where: str, minimum=None, strict_min=None,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(where,
                           f"expected a number, got {type(value).__name__}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(where, "integer beyond float range")
     if not math.isfinite(value):
         raise ConfigError(where, f"must be finite, got {value}")
     if minimum is not None and value < minimum:
@@ -103,9 +106,9 @@ def _check_number(value, where: str, minimum=None, strict_min=None,
 
 def _check_integer(value, where: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) \
-            or value < minimum:
-        raise ConfigError(where, f"need an integer >= {minimum}, "
-                                 f"got {value!r}")
+            or not minimum <= value <= sys.float_info.max:
+        raise ConfigError(where, f"need an integer >= {minimum} within "
+                                 f"float range, got {value!r}")
     return value
 
 
@@ -145,15 +148,20 @@ def _file_name(value, where: str) -> str:
 
 def build_spectrum(spec: dict, path: str = "spectrum") -> SpectralMeasure:
     kind = _require(spec, "kind", str, path)
-    kappa = _number(spec, "kappa", path, minimum=1.0)
-    normalized = bool(spec.get("normalized", True))
+    # the spectra are normalized by E[value^2], so kappa^2 must be finite
+    kappa = _number(spec, "kappa", path, minimum=1.0,
+                    maximum=math.sqrt(sys.float_info.max))
+    normalized = spec.get("normalized", True)
+    if not isinstance(normalized, bool):
+        raise ConfigError(f"{path}.normalized",
+                          f"expected true or false, got {normalized!r}")
     if kind == "two_atom":
         return make_two_atom(kappa, frobenius_normalize=normalized)
     if kind == "uniform":
-        n_atoms = int(_number(spec, "n_atoms", path, minimum=2))
+        n_atoms = _integer(spec, "n_atoms", path, 2)
         return make_uniform(kappa, n_atoms, frobenius_normalize=normalized)
     if kind == "poly_decay":
-        n_atoms = int(_number(spec, "n_atoms", path, minimum=2))
+        n_atoms = _integer(spec, "n_atoms", path, 2)
         exponent = _number(spec, "exponent", path, strict_min=0.0)
         return make_poly_decay(exponent, kappa, n_atoms)
     raise ConfigError(f"{path}.kind", f"unknown spectrum kind {kind!r}")
@@ -306,7 +314,6 @@ class ExperimentConfig:
     sweep: tuple = (None,)
     families: tuple[str, ...] = ()
     t_grid: _TimeGrid | None = None
-    test_points: int = 0
     d_c: int = 0
     rkhs: _RkhsParams | None = None
 
@@ -343,9 +350,9 @@ class ExperimentConfig:
         if kind in _SIMULATION_KINDS:
             n = out["n"] = _integer(raw, "n", "", 2)
             for i, g in enumerate(gammas):
-                if round(g * n) <= n:
-                    raise ConfigError(f"gammas[{i}]",
-                                      f"gamma*n must exceed n; got {g}*{n}")
+                if not math.isfinite(g * n) or round(g * n) <= n:
+                    raise ConfigError(f"gammas[{i}]", f"gamma*n must be "
+                                      f"finite and exceed n; got {g}*{n}")
         if kind != "yky":
             out["specs"] = _list(
                 raw, "preconditioners", "", build_precond,
@@ -363,9 +370,6 @@ class ExperimentConfig:
             for i in range(1, len(grid)):
                 if grid[i] < grid[i - 1]:
                     raise ConfigError(f"{key}[{i}]", "grid must be sorted")
-        if kind == "misspec_quadratic":
-            out["test_points"] = _integer(raw, "test_points", "", 1,
-                                          default=100_000)
         if kind == "misspec_unobserved":
             out["d_c"] = _integer(raw, "d_c", "", 1)
         if kind == "yky":
@@ -472,8 +476,8 @@ def _design_rows(cfg: ExperimentConfig, workers: int, row) -> list:
 
     cells = [(g, v, s) for g in cfg.gammas for v in cfg.sweep
              for s in cfg.seeds]
-    return [out for chunk in _pool_map(cell, cells, workers)
-            for out in chunk]
+    return [out for outs in _pool_map(cell, cells, workers)
+            for out in outs]
 
 
 def _sim_row(cfg: ExperimentConfig, gamma: float, design, spec,
@@ -511,8 +515,8 @@ def _run_trajectory(cfg: ExperimentConfig, workers: int) -> dict:
     for k, spec in enumerate(cfg.specs):
         name = f"trajectory_{spec.label}.csv"
         rows = outputs.setdefault(name, (TRAJECTORY_CSV_COLUMNS, []))[1]
-        for chunk in results[k::len(cfg.specs)]:
-            rows.extend(chunk)
+        for cell_rows in results[k::len(cfg.specs)]:
+            rows.extend(cell_rows)
     return outputs
 
 
@@ -524,16 +528,24 @@ def _run_alpha_sweep(cfg: ExperimentConfig, workers: int) -> dict:
     return {"sweep.csv": (RISK_CSV_COLUMNS, rows)}
 
 
-def _run_misspec_quadratic(cfg: ExperimentConfig, workers: int) -> dict:
-    def row(gamma, alpha_q, design, spec):
-        model = LabelModel(kind="quadratic", sigma=math.sqrt(cfg.sigma2),
-                           prior_map=cfg.prior, alpha_q=alpha_q)
-        summary = simulate_risk([design], spec, model,
-                                test_points=cfg.test_points)
-        return _sim_row(cfg, gamma, design, spec, model.label, math.nan,
-                        math.nan, summary.mean_risk)
+def _label_model_rows(cfg: ExperimentConfig, workers: int, kind: str,
+                      fields: Callable[[float], dict]) -> tuple:
+    """sim.csv of ``simulate_risk`` on every design under the label model
+    ``kind`` with the extra fields ``fields(sweep value)``."""
+    def row(gamma, value, design, spec):
+        model = LabelModel(kind=kind, sigma=math.sqrt(cfg.sigma2),
+                           prior_map=cfg.prior, **fields(value))
+        summary = simulate_risk([design], spec, model)
+        return _sim_row(cfg, gamma, design, spec, model.label,
+                        summary.mean_bias, summary.mean_variance,
+                        summary.mean_risk)
 
-    return {"sim.csv": (SIM_CSV_COLUMNS, _design_rows(cfg, workers, row))}
+    return SIM_CSV_COLUMNS, _design_rows(cfg, workers, row)
+
+
+def _run_misspec_quadratic(cfg: ExperimentConfig, workers: int) -> dict:
+    return {"sim.csv": _label_model_rows(
+        cfg, workers, "quadratic", lambda alpha_q: {"alpha_q": alpha_q})}
 
 
 def _run_misspec_unobserved(cfg: ExperimentConfig, workers: int) -> dict:
@@ -549,19 +561,14 @@ def _run_misspec_unobserved(cfg: ExperimentConfig, workers: int) -> dict:
             theory_rows.append([tau, gamma, cfg.sigma2, spec.label,
                                 spec.alpha, bias, variance, bias + variance])
 
-    def row(gamma, tau, design, spec):
-        block = UnobservedBlock.isotropic(cfg.d_c, tau)
-        model = LabelModel(kind="unobserved", sigma=math.sqrt(cfg.sigma2),
-                           prior_map=cfg.prior, unobserved=block)
-        summary = simulate_risk([design], spec, model)
-        return _sim_row(cfg, gamma, design, spec, model.label,
-                        summary.mean_bias, summary.mean_variance,
-                        summary.mean_risk)
+    def block(tau):
+        return {"unobserved": UnobservedBlock.isotropic(cfg.d_c, tau)}
 
     theory_columns = ("trace_term", "gamma", "sigma2", "preconditioner",
                       "alpha", "bias", "variance", "total")
     return {"misspec_theory.csv": (theory_columns, theory_rows),
-            "sim.csv": (SIM_CSV_COLUMNS, _design_rows(cfg, workers, row))}
+            "sim.csv": _label_model_rows(cfg, workers, "unobserved",
+                                         block)}
 
 
 def _run_yky(cfg: ExperimentConfig, workers: int) -> dict:
@@ -750,7 +757,6 @@ PRESETS: dict[str, dict] = {
         "sigma2": 0.1,
         "preconditioners": _GD_NGD,
         "alpha_q_values": [0.0, 0.0025, 0.005, 0.0075, 0.01, 0.015, 0.02],
-        "test_points": 50000,
         "seeds": _seeds(10),
     },
     "fig2": {

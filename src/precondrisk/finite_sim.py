@@ -8,17 +8,20 @@ diagonal in this fixed basis; rotation invariance of the Gaussian
 entries makes that choice distribution-identical to any rotated one,
 and a test confirms basis independence by explicit conjugation.
 
-Bias and variance given X are never estimated by sampling theta* or the
-noise; they are computed from the exact conditional trace formulas
+Bias and variance given X are never estimated by sampling theta*, the
+noise or test points, for any label model; they are computed from the
+exact conditional trace formulas
 
     B(X) = (1/d) Tr[Sigma_theta (I - P X^T S^-1 X)^T Sigma_X (...)],
     V(X) = sigma^2 Tr[P X^T S^-2 X P Sigma_X],      S = X P X^T,
 
-so the only Monte Carlo fluctuation left is in X itself.  Both are the
-t = inf point of the gradient flow theta_P(t) = P X^T [I - exp(-(t/n) S)]
-S^-1 y, whose spectral filter (1 - exp(-t lam / n)) / lam tends to
-1/lam: one symmetric eigendecomposition of the n x n Gram S
-(``_gram_eig``) gives every conditional quantity.
+plus, for a misspecified teacher, the closed-form terms of
+``simulate_risk``.  So the only Monte Carlo fluctuation left is in X
+itself.  Every term is the t = inf point of the gradient flow
+theta_P(t) = P X^T [I - exp(-(t/n) S)] S^-1 y, whose spectral filter
+(1 - exp(-t lam / n)) / lam tends to 1/lam: one symmetric
+eigendecomposition of the n x n Gram S (``_gram_eig``) gives every
+conditional quantity.
 
 Randomness comes from numpy's Philox counter-based generator, which is
 seed-stable across platforms; the generator name and numpy version are
@@ -184,7 +187,8 @@ class LabelModel:
 
     kind:
       - "well_specified": y = X theta* + eps
-      - "quadratic": adds f_c(x) = alpha_q * (<x, x> - Tr Sigma_X)
+      - "quadratic": adds f_c(x) = alpha_q * (<x, x> - Tr Sigma_X), and
+        the noise variance grows by Var f_c(x) to sigma^2 + Var f_c(x)
       - "unobserved": adds x_c^T theta_c from an unobserved block
     theta* is drawn with covariance (1/d) Sigma_theta, where the
     Sigma_theta eigenvalues are prior_map(sigma_x_eigs).
@@ -371,17 +375,27 @@ def default_time_grid(design: Design, P, n_points: int = _GRID_POINTS,
 
 
 def trajectory(design: Design, P, theta, sigma2: float,
-               t_grid: Sequence[float] | None = None
-               ) -> list[TrajectoryPoint]:
+               t_grid: Sequence[float] | None = None,
+               f_c: np.ndarray | None = None) -> list[TrajectoryPoint]:
     """Exact conditional bias/variance along the gradient flow.
 
     theta_P(t) = P X^T [I - exp(-(t/n) S)] S^-1 y with S = X P X^T.  One
     symmetric eigendecomposition of S is reused for every grid time;
     t = inf gives the stationary conditional values exactly.  Without a
     grid, the default_time_grid points are used.
+
+    ``f_c`` holds the values on the n training rows of a label term
+    outside the linear model (y = X theta* + f_c + eps).  The flow fits
+    it like a fixed signal, so the bias gains ||Sigma_X^1/2 P X^T W(t)
+    S^-1 f_c||^2 with W(t) = I - exp(-(t/n) S): the part of theta_P(t)
+    fitted to f_c, in the Sigma_X norm.
     """
     if sigma2 < 0:
         raise DomainError("sigma2 must be >= 0")
+    if f_c is not None:
+        f_c = np.asarray(f_c, dtype=float)
+        if f_c.shape != (design.n,):
+            raise DomainError("f_c must have shape (n,)")
     if t_grid is not None:
         t_grid = np.asarray(t_grid, dtype=float)
         if t_grid.size == 0:
@@ -405,6 +419,7 @@ def trajectory(design: Design, P, theta, sigma2: float,
     AB = Ah * Bh
     dA = np.diag(Ah).copy()
     c0 = float(np.sum(st * sx))
+    fh = None if f_c is None else Q.T @ f_c
 
     points = []
     for t in t_grid:
@@ -413,6 +428,9 @@ def trajectory(design: Design, P, theta, sigma2: float,
         bias = (c0 - 2.0 * float(ch @ g) + float(g @ (AB @ g))) / design.d
         variance = sigma2 * float(np.sum(g * g * dA))
         bias = max(bias, 0.0)
+        if fh is not None:
+            z = g * fh
+            bias += float(z @ (Ah @ z))
         points.append(TrajectoryPoint(t=float(t), bias=bias,
                                       variance=variance,
                                       risk=bias + variance))
@@ -476,78 +494,43 @@ def yky_diagnostic(design: Design, y: np.ndarray):
     return float(values) if y.ndim == 1 else values
 
 
-def _quadratic_risk(design: Design, P, model: LabelModel, seed: int,
-                    test_points: int, chunk: int = 20_000) -> float:
-    """Out-of-sample excess risk under the quadratic misspecification.
+def simulate_risk(designs: Sequence[Design], P, model: LabelModel
+                  ) -> SimulationSummary:
+    """Exact risk given X over design replicates under a label model.
 
-    The teacher is f*(x) = x^T theta* + alpha_q (<x,x> - Tr Sigma_X);
-    training noise is augmented to match the second moment of the
-    quadratic part, estimated on a held-out draw.
-    """
-    sx = design.sigma_x_eigs
-    trace_sx = float(np.sum(sx))
-    rng = _rng(seed, stream=1)
-    theta_star = model.sample_theta_star(design, rng)
-
-    def f_c(Xs):
-        return model.alpha_q * (np.sum(Xs * Xs, axis=1) - trace_sx)
-
-    # held-out draw to estimate Var[f_c]
-    calib = rng.standard_normal((4096, design.d)) * np.sqrt(sx)
-    var_fc = float(np.var(f_c(calib)))
-    sigma_eff = math.sqrt(model.sigma**2 + var_fc)
-
-    y = (design.X @ theta_star + f_c(design.X)
-         + sigma_eff * rng.standard_normal(design.n))
-    theta_hat = stationary_solution(design, P, y)
-
-    total = 0.0
-    seen = 0
-    while seen < test_points:
-        m = min(chunk, test_points - seen)
-        Xs = rng.standard_normal((m, design.d)) * np.sqrt(sx)
-        resid = Xs @ (theta_star - theta_hat) + f_c(Xs)
-        total += float(np.sum(resid**2))
-        seen += m
-    return total / test_points
-
-
-def simulate_risk(designs: Sequence[Design], P, model: LabelModel,
-                  test_points: int = 100_000) -> SimulationSummary:
-    """Risk estimates over design replicates under a label model.
-
-    Well-specified and unobserved-feature models use the exact
-    conditional formulas (only X fluctuates across seeds); the
-    quadratic model has no closed conditional form and is estimated
-    out-of-sample against the true teacher on fresh test draws.
+    theta* and the noise are averaged out in closed form for every label
+    model, so only X fluctuates across seeds.  Bias is B(X) and variance
+    sigma^2 V0(X), both at t = inf.  A misspecified teacher adds label
+    variance q that the linear model cannot fit: the unobserved block's
+    trace term, or q = Var f_c(x) = 2 alpha_q^2 sum s_i^2 of the quadratic
+    term at a Gaussian x.  It enters the bias as q (1 + V0), the
+    convention of ``misspecified_bias``.  The quadratic teacher's training
+    noise has variance sigma^2 + q, and the fit of its training values
+    f_c(X) adds ``trajectory``'s f_c term; odd moments of a Gaussian x
+    vanish, so no cross term remains.
     """
     if len(designs) == 0:
         raise DomainError("need at least one design replicate")
     rows = []
     for design in designs:
+        f_c, q = None, 0.0
         if model.kind == "quadratic":
-            risk = _quadratic_risk(design, P, model, design.seed,
-                                   test_points)
-            rows.append((design.seed, math.nan, math.nan, risk))
-            continue
-        point = trajectory(design, P, model.prior_map, 1.0, [math.inf])[0]
-        bias, v0 = point.bias, point.variance
+            sx = design.sigma_x_eigs
+            f_c = model.alpha_q * (np.sum(design.X * design.X, axis=1)
+                                   - float(np.sum(sx)))
+            q = 2.0 * model.alpha_q**2 * float(np.sum(sx * sx))
+        elif model.kind == "unobserved":
+            q = model.unobserved.realized_trace_term()
+        point = trajectory(design, P, model.prior_map, 1.0, [math.inf],
+                           f_c)[0]
+        v0 = point.variance
+        bias = point.bias + q * (1.0 + v0)
         variance = model.sigma**2 * v0
-        if model.kind == "unobserved":
-            tau = model.unobserved.realized_trace_term()
-            bias = bias + tau * (1.0 + v0)
         rows.append((design.seed, bias, variance, bias + variance))
 
-    def _stats(col):
-        vals = np.array([r[col] for r in rows], dtype=float)
-        vals = vals[~np.isnan(vals)]
-        if vals.size == 0:
-            return math.nan, math.nan
-        return float(vals.mean()), float(vals.std())
-
-    mb, sb = _stats(1)
-    mv, sv = _stats(2)
-    mr, sr = _stats(3)
+    table = np.array([r[1:] for r in rows])
+    (mb, mv, mr), (sb, sv, sr) = table.mean(axis=0), table.std(axis=0)
     return SimulationSummary(
-        mean_bias=mb, std_bias=sb, mean_variance=mv, std_variance=sv,
-        mean_risk=mr, std_risk=sr, per_seed=tuple(rows))
+        mean_bias=float(mb), std_bias=float(sb), mean_variance=float(mv),
+        std_variance=float(sv), mean_risk=float(mr), std_risk=float(sr),
+        per_seed=tuple(rows))

@@ -398,6 +398,8 @@ def make_poly_decay(exponent: float, kappa: float, n_atoms: int
         raise DomainError("n_atoms must be >= 2")
     raw = np.arange(1, n_atoms + 1, dtype=float) ** (-exponent)
     lo, hi = raw.min(), raw.max()
+    if hi == lo:
+        raise DomainError("exponent too small: the atoms coincide")
     values = 1.0 + (kappa - 1.0) * (raw - lo) / (hi - lo)
     weights = np.full(n_atoms, 1.0 / n_atoms)
     values = values / math.sqrt(float(np.sum(weights * values**2)))

@@ -8,6 +8,13 @@ from precondrisk import NumericalError
 from precondrisk.cli import main
 
 
+# a small valid config for the error-path tests
+YKY = {"schema_version": 1, "experiment": "tiny", "kind": "yky",
+       "spectrum": {"kind": "two_atom", "kappa": 5.0},
+       "prior": {"kind": "constant", "value": 1.0}, "gammas": [2.0],
+       "n": 20, "sigma2": 1.0, "noise_levels": [0.0, 1.0], "seeds": [0]}
+
+
 def run_cli(args):
     return main(list(args))
 
@@ -76,17 +83,47 @@ class TestRun:
 
     def test_path_like_experiment_exits_2_and_writes_nothing(
             self, tmp_path, capsys):
-        config = {"schema_version": 1, "experiment": "../escaped",
-                  "kind": "yky", "spectrum": {"kind": "two_atom",
-                                              "kappa": 5.0},
-                  "prior": {"kind": "constant", "value": 1.0},
-                  "gammas": [2.0], "n": 20, "sigma2": 1.0,
-                  "noise_levels": [0.0, 1.0], "seeds": [0]}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(dict(YKY, experiment="../escaped")))
         assert run_cli(["run", "--config", str(path), "--out",
                         str(tmp_path / "out")]) == 2
         assert "experiment" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("field,value,where", [
+        ("sigma2", 10**400, "sigma2"),
+        ("n", 10**400, "n"),
+        ("gammas", [1e308], "gammas[0]"),
+        ("spectrum", {"kind": "two_atom", "kappa": 1e308}, "spectrum.kappa"),
+        ("spectrum", {"kind": "uniform", "kappa": 1e308, "n_atoms": 4},
+         "spectrum.kappa"),
+        ("spectrum", {"kind": "uniform", "kappa": 5.0, "n_atoms": 2.5},
+         "spectrum.n_atoms"),
+        ("spectrum", {"kind": "uniform", "kappa": 5.0, "n_atoms": 10**400},
+         "spectrum.n_atoms"),
+        ("spectrum", {"kind": "two_atom", "kappa": 5.0, "normalized": "no"},
+         "spectrum.normalized"),
+    ], ids=["sigma2", "n", "gammas", "kappa-two_atom", "kappa-uniform",
+            "n_atoms-fraction", "n_atoms-huge", "normalized"])
+    def test_hostile_number_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, field, value, where):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(YKY, **{field: value})))
+        assert run_cli(["run", "--config", str(path), "--out",
+                        str(tmp_path / "out")]) == 2
+        assert where in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("text", [
+        json.dumps(YKY).replace('"n": 20', '"n": 1' + "0" * 5000).encode(),
+        b"\xff\xfe{}",
+    ], ids=["integer-too-long", "not-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        assert run_cli(["run", "--config", str(path), "--out",
+                        str(tmp_path / "out")]) == 2
+        assert "--config" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_name_and_config_conflict(self, tmp_path):

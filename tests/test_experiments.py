@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from precondrisk import (ConfigError, LabelModel, MisspecSpec,
+from precondrisk import (ConfigError, DomainError, LabelModel, MisspecSpec,
                          PreconditionerSpec, UnknownExperimentError,
                          UnobservedBlock, build_model, conditional_bias,
                          default_time_grid, iterations_to_threshold,
@@ -117,13 +119,6 @@ class TestConfigValidation:
         (lambda c: c.update(experiment="sub/dir/x"), "experiment"),
         (lambda c: c.update(output_prefix=5), "output_prefix"),
         (lambda c: c.update(output_prefix=".."), "output_prefix"),
-        # test_points must be an int >= 1
-        (lambda c: c.update(kind="misspec_quadratic", alpha_q_values=[0.0],
-                            test_points="abc"), "test_points"),
-        (lambda c: c.update(kind="misspec_quadratic", alpha_q_values=[0.0],
-                            test_points=0), "test_points"),
-        (lambda c: c.update(kind="misspec_quadratic", alpha_q_values=[0.0],
-                            test_points=-5), "test_points"),
         # rkhs seeds must be ints >= 0, the threshold factor a number > 0
         (as_rkhs(model_seed=-1), "rkhs.model_seed"),
         (as_rkhs(model_seed=1.5), "rkhs.model_seed"),
@@ -149,6 +144,43 @@ class TestConfigValidation:
                             noise_levels=[0.0, 1.0]), "gammas"),
         (lambda c: c.update(kind="alignment", gammas=[2.0, 3.0],
                             prior_exponents=[0.0]), "gammas"),
+        # numbers beyond float range, and sizes that overflow
+        pytest.param(lambda c: c.update(sigma2=10**400), "sigma2",
+                     id="<lambda>-sigma2-huge-int"),
+        pytest.param(lambda c: c.update(n=10**400), "n",
+                     id="<lambda>-n-huge-int"),
+        pytest.param(lambda c: c.update(gammas=[1e308]), "gammas[0]",
+                     id="<lambda>-gammas[0]-overflow"),
+        pytest.param(lambda c: c.update(spectrum={"kind": "two_atom",
+                                                  "kappa": 1e308}),
+                     "spectrum.kappa", id="<lambda>-kappa-two_atom"),
+        pytest.param(lambda c: c.update(spectrum={"kind": "uniform",
+                                                  "kappa": 1e308,
+                                                  "n_atoms": 10}),
+                     "spectrum.kappa", id="<lambda>-kappa-uniform"),
+        pytest.param(lambda c: c.update(spectrum={"kind": "poly_decay",
+                                                  "kappa": 1e308,
+                                                  "n_atoms": 10,
+                                                  "exponent": 1.0}),
+                     "spectrum.kappa", id="<lambda>-kappa-poly_decay"),
+        # n_atoms is an integer >= 2 in float range, normalized a bool
+        pytest.param(lambda c: c.update(spectrum={"kind": "uniform",
+                                                  "kappa": 5.0,
+                                                  "n_atoms": 2.5}),
+                     "spectrum.n_atoms", id="<lambda>-n_atoms-fraction"),
+        pytest.param(lambda c: c.update(spectrum={"kind": "poly_decay",
+                                                  "kappa": 5.0,
+                                                  "n_atoms": 1e308,
+                                                  "exponent": 1.0}),
+                     "spectrum.n_atoms", id="<lambda>-n_atoms-float"),
+        pytest.param(lambda c: c.update(spectrum={"kind": "uniform",
+                                                  "kappa": 5.0,
+                                                  "n_atoms": 10**400}),
+                     "spectrum.n_atoms", id="<lambda>-n_atoms-huge-int"),
+        pytest.param(lambda c: c.update(spectrum={"kind": "two_atom",
+                                                  "kappa": 5.0,
+                                                  "normalized": "no"}),
+                     "spectrum.normalized", id="<lambda>-normalized-str"),
     ])
     def test_errors_name_the_field(self, mutate, path):
         raw = tiny_stationary()
@@ -171,6 +203,45 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict(raw)
         assert "r_values[0]" in str(exc.value)
+
+
+def field_paths(node, prefix=()):
+    """The path of every key and list item under ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from field_paths(value, prefix + (key,))
+
+
+HOSTILE = [None, True, "x", -1, 0, 2.5, 1e308, -1e308, math.inf, -math.inf,
+           math.nan, 10**400, [], {}]
+PRESET_FIELDS = {name: list(field_paths(raw)) for name, raw in PRESETS.items()}
+
+
+class TestConfigFuzz:
+    """Any one hostile field in a preset is refused with a typed error."""
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(st.sampled_from(sorted(PRESETS)).flatmap(
+               lambda name: st.tuples(st.just(name),
+                                      st.sampled_from(PRESET_FIELDS[name]))),
+           st.sampled_from(HOSTILE))
+    def test_hostile_field(self, case, value):
+        name, path = case
+        raw = json.loads(json.dumps(PRESETS[name]))
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            ExperimentConfig.from_dict(raw)
+        except (ConfigError, DomainError):
+            pass
 
 
 class TestRun:
@@ -335,17 +406,17 @@ class TestEveryKind:
             == [_format_cell(v) for v in rep.to_csv_row()]
 
     def test_misspec_quadratic(self, tmp_path):
-        run(tiny("misspec_quadratic", alpha_q_values=[0.0, 0.01],
-                 test_points=500), out_dir=str(tmp_path))
+        run(tiny("misspec_quadratic", alpha_q_values=[0.0, 0.01]),
+            out_dir=str(tmp_path))
         row = read_rows(tmp_path / "tiny_sim.csv")[3]
         model = LabelModel(kind="quadratic", sigma=1.0, prior_map=self.iso,
                            alpha_q=0.01)
         summary = simulate_risk([self.design(3)],
                                 PreconditionerSpec.inverse_pop_fisher(),
-                                model, test_points=500)
+                                model)
         assert row["label_model"] == model.label
-        assert (row["bias"], row["variance"]) == ("", "")
-        assert float(row["risk"]) == summary.mean_risk
+        assert [float(row[k]) for k in ("bias", "variance", "risk")] \
+            == [summary.mean_bias, summary.mean_variance, summary.mean_risk]
 
     def test_misspec_unobserved(self, tmp_path):
         run(tiny("misspec_unobserved", trace_terms=[0.5], d_c=10),

@@ -148,6 +148,17 @@ def naive_variance(design, P_matrix, sigma2):
     return sigma2 * float(np.trace(J.T @ sigma @ J))
 
 
+def naive_quadratic(design, P_matrix, prior, sigma2, alpha_q):
+    """(bias, variance) of the quadratic teacher from d x d matrices."""
+    X, sx = design.X, design.sigma_x_eigs
+    M = P_matrix @ X.T @ np.linalg.inv(X @ P_matrix @ X.T)
+    fit = M @ (alpha_q * (np.sum(X * X, axis=1) - np.sum(sx)))
+    q = 2.0 * alpha_q**2 * float(np.sum(sx * sx))
+    v0 = naive_variance(design, P_matrix, 1.0)
+    bias = naive_bias(design, P_matrix, prior) + float(fit @ (sx * fit))
+    return bias + q * (1.0 + v0), sigma2 * v0
+
+
 class TestConditionalRisk:
     @pytest.mark.parametrize(
         "spec", [PreconditionerSpec.identity(),
@@ -365,15 +376,70 @@ class TestSimulateRisk:
         v0 = without.mean_variance  # sigma2 = 1 here
         assert uplift == pytest.approx(tau * (1.0 + v0), rel=1e-9)
 
-    def test_quadratic_reports_risk_only(self, two_atom20):
-        designs = [sample_design(50, 100, two_atom20, "gaussian", 0)]
-        model = LabelModel(kind="quadratic", sigma=0.3, prior_map=iso_prior,
-                           alpha_q=0.01)
-        summary = simulate_risk(designs, PreconditionerSpec.identity(),
-                                model, test_points=20_000)
-        assert np.isnan(summary.mean_bias)
-        assert np.isfinite(summary.mean_risk)
-        assert summary.mean_risk > 0
+    @pytest.mark.parametrize(
+        "spec", [PreconditionerSpec.identity(),
+                 PreconditionerSpec.inverse_pop_fisher(),
+                 PreconditionerSpec.sample_pseudo_inverse(),
+                 PreconditionerSpec("sample_damped", lam=0.3)],
+        ids=["gd", "ngd", "pseudo", "damped"])
+    def test_quadratic_matches_dense_formulas(self, spec):
+        design = small_design(seed=5, n=15, d=30)
+        model = LabelModel(kind="quadratic", sigma=0.3, prior_map=inv_prior,
+                           alpha_q=0.05)
+        summary = simulate_risk([design], spec, model)
+        bias, variance = naive_quadratic(design, build_preconditioner(
+            spec, design), inv_prior, 0.3**2, 0.05)
+        assert summary.mean_bias == pytest.approx(bias, rel=1e-10)
+        assert summary.mean_variance == pytest.approx(variance, rel=1e-10)
+        assert summary.mean_risk == pytest.approx(bias + variance,
+                                                  rel=1e-10)
+
+    def test_quadratic_matches_sampled_teachers(self):
+        """The closed form is the average, over theta* and the noise, of
+        the exact risk given those draws, delta^T Sigma_X delta + q."""
+        design = small_design(seed=3, n=20, d=40)
+        sx = design.sigma_x_eigs
+        alpha_q, sigma2, draws = 0.05, 0.09, 4000
+        model = LabelModel(kind="quadratic", sigma=np.sqrt(sigma2),
+                           prior_map=iso_prior, alpha_q=alpha_q)
+        spec = PreconditionerSpec.inverse_pop_fisher()
+        closed = simulate_risk([design], spec, model).mean_risk
+
+        X, P = design.X, build_preconditioner(spec, design)
+        M = P @ X.T @ np.linalg.inv(X @ P @ X.T)
+        f_c = alpha_q * (np.sum(X * X, axis=1) - np.sum(sx))
+        q = 2.0 * alpha_q**2 * np.sum(sx * sx)
+        rng = np.random.default_rng(11)
+        theta = rng.standard_normal((design.d, draws)) / np.sqrt(design.d)
+        noise = rng.standard_normal((design.n, draws))
+        y = X @ theta + f_c[:, None] + np.sqrt(sigma2 + q) * noise
+        delta = theta - M @ y
+        given = np.sum(sx[:, None] * delta**2, axis=0) + q
+        stderr = given.std() / np.sqrt(draws)
+        assert abs(given.mean() - closed) <= 4.0 * stderr
+        assert stderr <= 0.02 * closed  # the draws resolve the risk
+
+    def test_trajectory_f_c_term(self):
+        """f_c adds ||Sigma_X^1/2 P X^T W(t) S^-1 f_c||^2 to the bias at
+        every flow time and leaves the variance alone."""
+        design = small_design(seed=4, n=15, d=30)
+        spec = PreconditionerSpec.power(0.5)
+        P = build_preconditioner(spec, design)
+        X, sx = design.X, design.sigma_x_eigs
+        f_c = np.sin(np.arange(design.n))
+        S = X @ P @ X.T
+        mu, V = np.linalg.eigh(S)
+        times = [0.5 * design.n / mu[-1], 5.0 * design.n / mu[0], np.inf]
+        with_f = trajectory(design, spec, iso_prior, 0.4, times, f_c)
+        without = trajectory(design, spec, iso_prior, 0.4, times)
+        for t, a, b in zip(times, with_f, without):
+            W = V @ np.diag(-np.expm1(-t * mu / design.n)) @ V.T
+            fit = P @ X.T @ W @ np.linalg.solve(S, f_c)
+            assert a.bias - b.bias == pytest.approx(float(fit @ (sx * fit)),
+                                                    rel=1e-9)
+            assert a.variance == b.variance
+        with pytest.raises(DomainError):
+            trajectory(design, spec, iso_prior, 0.4, times, f_c[:-1])
 
 
 class TestDiagnostics:

@@ -37,6 +37,11 @@ class TestSpectralMeasure:
         assert spec.second_moment() == pytest.approx(1.0, abs=1e-10)
         assert np.all(np.diff(spec.values) > 0)  # sorted ascending
 
+    def test_poly_decay_exponent_too_small(self):
+        # i**(-1e-20) rounds to 1 for every i: no spread to rescale
+        with pytest.raises(DomainError):
+            make_poly_decay(1e-20, 500.0, 300)
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(DomainError):
             SpectralMeasure(np.array([1.0, 2.0]), np.array([0.6, 0.6]))
