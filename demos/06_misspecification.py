@@ -9,8 +9,8 @@ so the GD-vs-NGD ranking flips as misspecification grows.
 import numpy as np
 
 from precondrisk import (LabelModel, MisspecSpec, PreconditionerSpec,
-                         UnobservedBlock, make_joint, make_two_atom,
-                         misspecified_bias, sample_design, simulate_risk)
+                         make_joint, make_two_atom, misspecified_bias,
+                         sample_design, simulate_risk)
 
 
 def iso(x):
@@ -43,7 +43,7 @@ for tau in (0.1, 0.3, 1.0):
         theory = misspecified_bias(make_joint(fx, iso, p), gamma,
                                    MisspecSpec(tau))
         model = LabelModel(kind="unobserved", sigma=1.0, prior_map=iso,
-                           unobserved=UnobservedBlock.isotropic(n, tau))
+                           trace_term=tau)
         sim = simulate_risk(designs, p, model).mean_bias
         row += [theory, sim]
     print(f"{row[0]:6.1f} {row[1]:10.4f} {row[2]:8.4f} {row[3]:11.4f} "

@@ -19,17 +19,15 @@ from .stieltjes import (StieltjesSolution, finite_diff_check, m_derivative,
 from .risk_theory import (MisspecSpec, RiskReport, bias_lower_bound,
                           misspecified_bias, risk_report, sweep_alpha,
                           theoretical_bias, theoretical_variance)
-from .finite_sim import (Design, EarlyStopping, LabelModel,
+from .finite_sim import (Design, EarlyStopping, GramFlow, LabelModel,
                          SimulationSummary, TrajectoryPoint,
-                         UnobservedBlock, build_preconditioner,
-                         conditional_bias, conditional_variance,
-                         default_time_grid, min_norm_check,
-                         optimal_early_stopping, sample_design,
-                         simulate_risk, stationary_solution, trajectory,
-                         yky_diagnostic)
-from .rkhs_sim import (RKHSDataset, SpectralRKHS, SweepCell,
-                       brute_force_steps, build_model, damping_sweep,
-                       iterations_to_threshold, make_dataset,
+                         build_preconditioner, conditional_bias,
+                         conditional_variance, default_time_grid,
+                         gram_flow, min_norm_check, optimal_early_stopping,
+                         sample_design, simulate_risk, stationary_solution,
+                         trajectory, yky_diagnostic)
+from .rkhs_sim import (RKHSDataset, SpectralRKHS, brute_force_steps,
+                       build_model, iterations_to_threshold, make_dataset,
                        run_gd, run_preconditioned, rate_optimal_damping)
 from .experiments import (ExperimentConfig, RunManifest, emit_plot_script,
                           get_preset, list_experiments, run)
@@ -50,16 +48,17 @@ __all__ = [
     "RiskReport", "MisspecSpec", "theoretical_variance", "theoretical_bias",
     "bias_lower_bound", "misspecified_bias", "risk_report", "sweep_alpha",
     # finite_sim
-    "Design", "LabelModel", "UnobservedBlock", "TrajectoryPoint",
+    "Design", "GramFlow", "LabelModel", "TrajectoryPoint",
     "EarlyStopping", "SimulationSummary", "sample_design",
-    "build_preconditioner", "stationary_solution", "conditional_bias",
+    "build_preconditioner", "gram_flow", "stationary_solution",
+    "conditional_bias",
     "conditional_variance", "default_time_grid", "trajectory",
     "optimal_early_stopping", "simulate_risk", "min_norm_check",
     "yky_diagnostic",
     # rkhs_sim
-    "SpectralRKHS", "RKHSDataset", "SweepCell", "build_model",
-    "make_dataset", "rate_optimal_damping", "run_preconditioned", "run_gd",
-    "iterations_to_threshold", "brute_force_steps", "damping_sweep",
+    "SpectralRKHS", "RKHSDataset", "build_model", "make_dataset",
+    "rate_optimal_damping", "run_preconditioned", "run_gd",
+    "iterations_to_threshold", "brute_force_steps",
     # experiments
     "ExperimentConfig", "RunManifest", "run", "list_experiments",
     "get_preset", "emit_plot_script",

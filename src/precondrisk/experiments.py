@@ -3,8 +3,9 @@
 Each preset is an embedded JSON-style document describing one figure's
 worth of computation.  ``ExperimentConfig.from_dict`` is the only reader
 of that document: it checks every field, naming the field's path on
-failure, and parses it into typed fields once.  ``run`` fans seed/sweep
-cells out to a bounded thread pool (each cell is pure given its seed),
+failure, and parses it into typed fields once.  ``run`` fans cells out
+to a bounded thread pool (each cell is pure given its seed; a design
+cell factors its design once per preconditioner for the whole sweep),
 writes RFC-4180 CSVs with 17-significant-digit floats, and records a
 manifest with a canonical config hash, the RNG identity, and per-file
 digests.  Two runs of the same config produce byte-identical CSVs.
@@ -28,9 +29,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, UnknownExperimentError
-from .finite_sim import (GENERATOR_NAME, LabelModel, UnobservedBlock,
-                         conditional_bias, default_time_grid,
-                         optimal_early_stopping, sample_design,
+from .finite_sim import (GENERATOR_NAME, LabelModel, default_time_grid,
+                         gram_flow, optimal_early_stopping, sample_design,
                          simulate_risk, trajectory, yky_diagnostic,
                          _GRID_HI, _GRID_LO, _GRID_POINTS, _rng)
 from .risk_theory import (RISK_CSV_COLUMNS, MisspecSpec, misspecified_bias,
@@ -105,10 +105,11 @@ def _check_number(value, where: str, minimum=None, strict_min=None,
 
 
 def _check_integer(value, where: str, minimum: int) -> int:
+    """An integer in [minimum, sys.maxsize]: sizes numpy can index."""
     if isinstance(value, bool) or not isinstance(value, int) \
-            or not minimum <= value <= sys.float_info.max:
-        raise ConfigError(where, f"need an integer >= {minimum} within "
-                                 f"float range, got {value!r}")
+            or not minimum <= value <= sys.maxsize:
+        raise ConfigError(where, f"need an integer in [{minimum}, "
+                                 f"sys.maxsize], got {value!r}")
     return value
 
 
@@ -220,10 +221,10 @@ class _TimeGrid:
     hi: float
     points: int
 
-    def times(self, design, spec) -> np.ndarray:
+    def times(self, flow) -> np.ndarray:
         if self.absolute:
             return np.geomspace(self.lo, self.hi, self.points)
-        return default_time_grid(design, spec, self.points, self.lo,
+        return default_time_grid(flow.design, flow, self.points, self.lo,
                                  self.hi)
 
 
@@ -314,7 +315,6 @@ class ExperimentConfig:
     sweep: tuple = (None,)
     families: tuple[str, ...] = ()
     t_grid: _TimeGrid | None = None
-    d_c: int = 0
     rkhs: _RkhsParams | None = None
 
     @classmethod
@@ -350,9 +350,12 @@ class ExperimentConfig:
         if kind in _SIMULATION_KINDS:
             n = out["n"] = _integer(raw, "n", "", 2)
             for i, g in enumerate(gammas):
-                if not math.isfinite(g * n) or round(g * n) <= n:
-                    raise ConfigError(f"gammas[{i}]", f"gamma*n must be "
-                                      f"finite and exceed n; got {g}*{n}")
+                # the design is n x round(gamma * n)
+                if not math.isfinite(g * n) or round(g * n) <= n \
+                        or n * round(g * n) > sys.maxsize:
+                    raise ConfigError(f"gammas[{i}]", f"gamma*n must exceed "
+                                      f"n, and n * gamma*n be at most "
+                                      f"sys.maxsize; got {g}*{n}")
         if kind != "yky":
             out["specs"] = _list(
                 raw, "preconditioners", "", build_precond,
@@ -370,8 +373,6 @@ class ExperimentConfig:
             for i in range(1, len(grid)):
                 if grid[i] < grid[i - 1]:
                     raise ConfigError(f"{key}[{i}]", "grid must be sorted")
-        if kind == "misspec_unobserved":
-            out["d_c"] = _integer(raw, "d_c", "", 1)
         if kind == "yky":
             out["sweep"] = _list(raw, "noise_levels", "", _check_number,
                                  minimum=0.0)
@@ -463,21 +464,28 @@ def _pool_map(fn, cells, workers: int):
 
 
 def _design_rows(cfg: ExperimentConfig, workers: int, row) -> list:
-    """``row(gamma, value, design, spec)`` for every cell and spec.
+    """``row(gamma, value, flow, spec)`` for every gamma, sweep value,
+    seed and spec, in that order.
 
-    Cells are (gamma, sweep value, seed), in that order; each draws one
-    design and runs on the pool.  The result is cell-major, spec-minor.
+    Cells are (gamma, seed) and run on the pool.  Each draws one design
+    and factors it once per spec; every sweep value reads that flow.
     """
+    def spec_rows(gamma, design, spec):
+        # the flow is freed on return, before the next spec's is built
+        flow = gram_flow(design, spec)
+        return [row(gamma, value, flow, spec) for value in cfg.sweep]
+
     def cell(args):
-        gamma, value, seed = args
+        gamma, seed = args
         design = sample_design(cfg.n, int(round(gamma * cfg.n)),
                                cfg.spectrum, "gaussian", seed)
-        return [row(gamma, value, design, spec) for spec in cfg.specs]
+        return [spec_rows(gamma, design, spec) for spec in cfg.specs]
 
-    cells = [(g, v, s) for g in cfg.gammas for v in cfg.sweep
-             for s in cfg.seeds]
-    return [out for outs in _pool_map(cell, cells, workers)
-            for out in outs]
+    keys = [(g, s) for g in cfg.gammas for s in cfg.seeds]
+    results = dict(zip(keys, _pool_map(cell, keys, workers)))
+    return [results[g, s][k][v]
+            for g in cfg.gammas for v in range(len(cfg.sweep))
+            for s in cfg.seeds for k in range(len(cfg.specs))]
 
 
 def _sim_row(cfg: ExperimentConfig, gamma: float, design, spec,
@@ -492,10 +500,10 @@ def _run_stationary(cfg: ExperimentConfig, workers: int) -> dict:
                                cfg.sigma2).to_csv_row()
                    for gamma in cfg.gammas for spec in cfg.specs]
 
-    def row(gamma, _, design, spec):
-        point = trajectory(design, spec, cfg.prior, cfg.sigma2,
+    def row(gamma, _, flow, spec):
+        point = trajectory(flow.design, flow, cfg.prior, cfg.sigma2,
                            [math.inf])[0]
-        return _sim_row(cfg, gamma, design, spec, "well_specified",
+        return _sim_row(cfg, gamma, flow.design, spec, "well_specified",
                         point.bias, point.variance, point.risk)
 
     return {"theory.csv": (RISK_CSV_COLUMNS, theory_rows),
@@ -503,12 +511,11 @@ def _run_stationary(cfg: ExperimentConfig, workers: int) -> dict:
 
 
 def _run_trajectory(cfg: ExperimentConfig, workers: int) -> dict:
-    def row(gamma, _, design, spec):
-        t_grid = None if cfg.t_grid is None else cfg.t_grid.times(design,
-                                                                  spec)
-        return [[design.seed, p.t, p.bias, p.variance, p.risk]
-                for p in trajectory(design, spec, cfg.prior, cfg.sigma2,
-                                    t_grid)]
+    def row(gamma, _, flow, spec):
+        t_grid = None if cfg.t_grid is None else cfg.t_grid.times(flow)
+        return [[flow.design.seed, p.t, p.bias, p.variance, p.risk]
+                for p in trajectory(flow.design, flow, cfg.prior,
+                                    cfg.sigma2, t_grid)]
 
     results = _design_rows(cfg, workers, row)
     outputs: dict = {}
@@ -532,11 +539,11 @@ def _label_model_rows(cfg: ExperimentConfig, workers: int, kind: str,
                       fields: Callable[[float], dict]) -> tuple:
     """sim.csv of ``simulate_risk`` on every design under the label model
     ``kind`` with the extra fields ``fields(sweep value)``."""
-    def row(gamma, value, design, spec):
+    def row(gamma, value, flow, spec):
         model = LabelModel(kind=kind, sigma=math.sqrt(cfg.sigma2),
                            prior_map=cfg.prior, **fields(value))
-        summary = simulate_risk([design], spec, model)
-        return _sim_row(cfg, gamma, design, spec, model.label,
+        summary = simulate_risk([flow.design], flow, model)
+        return _sim_row(cfg, gamma, flow.design, spec, model.label,
                         summary.mean_bias, summary.mean_variance,
                         summary.mean_risk)
 
@@ -561,14 +568,11 @@ def _run_misspec_unobserved(cfg: ExperimentConfig, workers: int) -> dict:
             theory_rows.append([tau, gamma, cfg.sigma2, spec.label,
                                 spec.alpha, bias, variance, bias + variance])
 
-    def block(tau):
-        return {"unobserved": UnobservedBlock.isotropic(cfg.d_c, tau)}
-
     theory_columns = ("trace_term", "gamma", "sigma2", "preconditioner",
                       "alpha", "bias", "variance", "total")
     return {"misspec_theory.csv": (theory_columns, theory_rows),
-            "sim.csv": _label_model_rows(cfg, workers, "unobserved",
-                                         block)}
+            "sim.csv": _label_model_rows(
+                cfg, workers, "unobserved", lambda tau: {"trace_term": tau})}
 
 
 def _run_yky(cfg: ExperimentConfig, workers: int) -> dict:
@@ -599,21 +603,21 @@ def _run_yky(cfg: ExperimentConfig, workers: int) -> dict:
 
 def _run_alignment(cfg: ExperimentConfig, workers: int) -> dict:
     gamma = cfg.gammas[0]
-    theory_rows = []
-    for expo in cfg.sweep:
-        prior = build_prior({"kind": "power", "exponent": expo})
-        for spec in cfg.specs:
-            report = risk_report(cfg.spectrum, prior, spec, gamma,
-                                 cfg.sigma2)
-            theory_rows.append([expo, spec.label, spec.alpha, report.bias])
+    priors = {expo: build_prior({"kind": "power", "exponent": expo})
+              for expo in cfg.sweep}
+    theory_rows = [[expo, spec.label, spec.alpha,
+                    risk_report(cfg.spectrum, priors[expo], spec, gamma,
+                                cfg.sigma2).bias]
+                   for expo in cfg.sweep for spec in cfg.specs]
 
-    def row(gamma, expo, design, spec):
-        prior = build_prior({"kind": "power", "exponent": expo})
-        stop = optimal_early_stopping(
-            trajectory(design, spec, prior, cfg.sigma2, None))
-        return [expo, spec.label, spec.alpha, design.seed,
-                conditional_bias(design, spec, prior), stop.bias_opt,
-                stop.t_bias]
+    def row(gamma, expo, flow, spec):
+        # the default grid, then t = inf for the stationary bias
+        times = np.append(default_time_grid(flow.design, flow), math.inf)
+        points = trajectory(flow.design, flow, priors[expo], cfg.sigma2,
+                            times)
+        stop = optimal_early_stopping(points[:-1])
+        return [expo, spec.label, spec.alpha, flow.design.seed,
+                points[-1].bias, stop.bias_opt, stop.t_bias]
 
     theory_columns = ("prior_exponent", "preconditioner", "alpha", "bias")
     sim_columns = ("prior_exponent", "preconditioner", "alpha", "seed",
@@ -815,7 +819,6 @@ PRESETS: dict[str, dict] = {
         "sigma2": 1.0,
         "preconditioners": _GD_NGD_POW,
         "trace_terms": [0.1, 0.3, 1.0],
-        "d_c": 300,
         "seeds": _seeds(20),
     },
     "fig7": {
@@ -832,7 +835,6 @@ PRESETS: dict[str, dict] = {
         "sigma2": 1.0,
         "preconditioners": _GD_NGD_POW,
         "trace_terms": [0.1, 0.3, 1.0],
-        "d_c": 300,
         "seeds": _seeds(20),
     },
     "fig9": {

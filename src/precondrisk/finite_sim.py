@@ -20,8 +20,12 @@ plus, for a misspecified teacher, the closed-form terms of
 itself.  Every term is the t = inf point of the gradient flow
 theta_P(t) = P X^T [I - exp(-(t/n) S)] S^-1 y, whose spectral filter
 (1 - exp(-t lam / n)) / lam tends to 1/lam: one symmetric
-eigendecomposition of the n x n Gram S (``_gram_eig``) gives every
-conditional quantity.
+eigendecomposition of the n x n Gram S, held by a ``GramFlow``, gives
+every conditional quantity.  ``trajectory``, ``conditional_bias``,
+``conditional_variance``, ``default_time_grid``, ``stationary_solution``
+and ``simulate_risk`` take that flow (``gram_flow``) of the same design
+in place of a preconditioner, and then read it instead of factoring S
+again.
 
 Randomness comes from numpy's Philox counter-based generator, which is
 seed-stable across platforms; the generator name and numpy version are
@@ -41,14 +45,15 @@ from .spectra import PreconditionerSpec, SpectralMeasure
 
 __all__ = [
     "Design",
+    "GramFlow",
     "TrajectoryPoint",
     "LabelModel",
-    "UnobservedBlock",
     "EarlyStopping",
     "SimulationSummary",
     "sample_design",
     "apportion_counts",
     "build_preconditioner",
+    "gram_flow",
     "stationary_solution",
     "conditional_bias",
     "conditional_variance",
@@ -118,6 +123,22 @@ class Design:
         return self.d / self.n
 
 
+@dataclass(frozen=True, eq=False)
+class GramFlow:
+    """X P X^T = Q diag(lam) Q^T for one design and preconditioner.
+
+    ``lam`` is ascending; ``Ah = Q^T (X P Sigma_X P X^T) Q`` is the block
+    of the bias and variance that does not depend on the prior.  Built by
+    ``gram_flow``.
+    """
+
+    design: Design
+    XP: np.ndarray
+    lam: np.ndarray
+    Q: np.ndarray
+    Ah: np.ndarray
+
+
 @dataclass(frozen=True)
 class TrajectoryPoint:
     """Conditional risk decomposition at one gradient-flow time."""
@@ -145,43 +166,6 @@ class EarlyStopping:
 
 
 @dataclass(frozen=True)
-class UnobservedBlock:
-    """Spectra of the unobserved feature block (paired atom by atom)."""
-
-    d_c: int
-    xc: SpectralMeasure
-    thetac: SpectralMeasure
-
-    def __post_init__(self):
-        if self.d_c < 1:
-            raise DomainError("d_c must be >= 1")
-        if self.xc.n_atoms != self.thetac.n_atoms or not np.allclose(
-                self.xc.weights, self.thetac.weights, rtol=0, atol=1e-12):
-            raise DomainError(
-                "unobserved spectra must pair atom-by-atom with equal "
-                "weights (co-diagonal blocks)")
-
-    @classmethod
-    def isotropic(cls, d_c: int, trace_term: float) -> "UnobservedBlock":
-        """Point-mass block realizing an exact trace term."""
-        if trace_term <= 0:
-            raise DomainError("trace_term must be > 0 for a block")
-        root = math.sqrt(trace_term)
-        one = SpectralMeasure(np.array([root]), np.array([1.0]))
-        return cls(d_c, one, one)
-
-    def realized_eigs(self) -> tuple[np.ndarray, np.ndarray]:
-        counts = apportion_counts(self.xc.weights, self.d_c)
-        return (np.repeat(self.xc.values, counts),
-                np.repeat(self.thetac.values, counts))
-
-    def realized_trace_term(self) -> float:
-        """(1/d_c) Tr(Sigma_X^c Sigma_theta^c) over the realized slots."""
-        vx, vt = self.realized_eigs()
-        return float(np.mean(vx * vt))
-
-
-@dataclass(frozen=True)
 class LabelModel:
     """How labels are generated on top of a design.
 
@@ -189,7 +173,8 @@ class LabelModel:
       - "well_specified": y = X theta* + eps
       - "quadratic": adds f_c(x) = alpha_q * (<x, x> - Tr Sigma_X), and
         the noise variance grows by Var f_c(x) to sigma^2 + Var f_c(x)
-      - "unobserved": adds x_c^T theta_c from an unobserved block
+      - "unobserved": adds x_c^T theta_c from an unobserved feature block
+        with trace term (1/d_c) Tr(Sigma_X^c Sigma_theta^c) = trace_term
     theta* is drawn with covariance (1/d) Sigma_theta, where the
     Sigma_theta eigenvalues are prior_map(sigma_x_eigs).
     """
@@ -199,23 +184,22 @@ class LabelModel:
     prior_map: Callable[[np.ndarray], np.ndarray] = field(
         default=lambda x: np.ones_like(x), compare=False)
     alpha_q: float = 0.0
-    unobserved: UnobservedBlock | None = None
+    trace_term: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("well_specified", "quadratic", "unobserved"):
             raise DomainError(f"unknown label model kind {self.kind!r}")
         if self.sigma < 0:
             raise DomainError("sigma must be >= 0")
-        if self.kind == "unobserved" and self.unobserved is None:
-            raise DomainError("unobserved kind needs an UnobservedBlock")
+        if self.kind == "unobserved" and not self.trace_term > 0:
+            raise DomainError("unobserved kind needs trace_term > 0")
 
     @property
     def label(self) -> str:
         if self.kind == "quadratic":
             return f"quadratic(alpha_q={self.alpha_q:g})"
         if self.kind == "unobserved":
-            tau = self.unobserved.realized_trace_term()
-            return f"unobserved(trace_term={tau:g})"
+            return f"unobserved(trace_term={self.trace_term:g})"
         return "well_specified"
 
     def sample_theta_star(self, design: Design,
@@ -308,25 +292,27 @@ def _xp(design: Design, P) -> np.ndarray:
     return design.X @ dense
 
 
-def _gram_eig(design: Design, P, what: str
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(X P, lam, Q) with X P X^T = Q diag(lam) Q^T, lam ascending; raises
-    NumericalError naming operation ``what`` if the Gram is singular."""
+def gram_flow(design: Design, P) -> GramFlow:
+    """Factor S = X P X^T once; raises NumericalError if S is singular."""
     XP = _xp(design, P)
     S = XP @ design.X.T
     lam, Q = np.linalg.eigh(0.5 * (S + S.T))
     if lam[0] <= _GRAM_RTOL * lam[-1]:
         raise NumericalError(
-            "finite_sim", what,
+            "finite_sim", "gram_flow",
             f"Gram matrix numerically singular (min/max eig = "
             f"{lam[0]:.3e}/{lam[-1]:.3e})")
-    return XP, lam, Q
+    A = (XP * design.sigma_x_eigs) @ XP.T
+    return GramFlow(design, XP, lam, Q, Q.T @ A @ Q)
 
 
-def _time_grid(n: int, lam_max: float, n_points: int, lo: float,
-               hi: float) -> np.ndarray:
-    scale = n / float(lam_max)
-    return np.geomspace(lo * scale, hi * scale, n_points)
+def _flow(design: Design, P) -> GramFlow:
+    """P itself if it is a flow of ``design``, else a new one."""
+    if not isinstance(P, GramFlow):
+        return gram_flow(design, P)
+    if P.design is not design:
+        raise DomainError("the GramFlow was built on another design")
+    return P
 
 
 def _theta_eigs(design: Design, theta) -> np.ndarray:
@@ -352,8 +338,8 @@ def _theta_eigs(design: Design, theta) -> np.ndarray:
 def stationary_solution(design: Design, P, y: np.ndarray) -> np.ndarray:
     """theta_hat = P X^T (X P X^T)^-1 y, the min-||.||_{P^-1} interpolant."""
     y = np.asarray(y, dtype=float)
-    XP, lam, Q = _gram_eig(design, P, "stationary_solution")
-    return XP.T @ (Q @ ((Q.T @ y) / lam))
+    flow = _flow(design, P)
+    return flow.XP.T @ (flow.Q @ ((flow.Q.T @ y) / flow.lam))
 
 
 def conditional_bias(design: Design, P, theta) -> float:
@@ -370,8 +356,8 @@ def default_time_grid(design: Design, P, n_points: int = _GRID_POINTS,
                       lo: float = _GRID_LO, hi: float = _GRID_HI
                       ) -> np.ndarray:
     """Geometric grid spanning [lo, hi] * n / lambda_max(X P X^T)."""
-    _, lam, _ = _gram_eig(design, P, "default_time_grid")
-    return _time_grid(design.n, lam[-1], n_points, lo, hi)
+    scale = design.n / float(_flow(design, P).lam[-1])
+    return np.geomspace(lo * scale, hi * scale, n_points)
 
 
 def trajectory(design: Design, P, theta, sigma2: float,
@@ -405,15 +391,13 @@ def trajectory(design: Design, P, theta, sigma2: float,
     st = _theta_eigs(design, theta)
     sx = design.sigma_x_eigs
     X = design.X
-    XP, lam, Q = _gram_eig(design, P, "trajectory")
+    flow = _flow(design, P)
+    XP, lam, Q, Ah = flow.XP, flow.lam, flow.Q, flow.Ah
     if t_grid is None:
-        t_grid = _time_grid(design.n, lam[-1], _GRID_POINTS, _GRID_LO,
-                            _GRID_HI)
+        t_grid = default_time_grid(design, flow)
 
-    A = (XP * sx) @ XP.T
     Bm = (X * st) @ X.T
     Cm = (X * (st * sx)) @ XP.T
-    Ah = Q.T @ A @ Q
     Bh = Q.T @ Bm @ Q
     ch = np.einsum("ij,ij->j", Q, Cm @ Q)
     AB = Ah * Bh
@@ -488,9 +472,9 @@ def yky_diagnostic(design: Design, y: np.ndarray):
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[0] != design.n:
         raise DomainError("labels must have shape (n,) or (n, k)")
-    _, lam, Q = _gram_eig(design, np.ones(design.d), "yky_diagnostic")
-    z = Q.T @ y
-    values = np.sqrt((1.0 / lam) @ (z * z) / design.n)
+    flow = gram_flow(design, np.ones(design.d))
+    z = flow.Q.T @ y
+    values = np.sqrt((1.0 / flow.lam) @ (z * z) / design.n)
     return float(values) if y.ndim == 1 else values
 
 
@@ -507,7 +491,8 @@ def simulate_risk(designs: Sequence[Design], P, model: LabelModel
     convention of ``misspecified_bias``.  The quadratic teacher's training
     noise has variance sigma^2 + q, and the fit of its training values
     f_c(X) adds ``trajectory``'s f_c term; odd moments of a Gaussian x
-    vanish, so no cross term remains.
+    vanish, so no cross term remains.  On a Rademacher design ||x||^2 is
+    constant, so the quadratic teacher is linear there and is refused.
     """
     if len(designs) == 0:
         raise DomainError("need at least one design replicate")
@@ -515,12 +500,15 @@ def simulate_risk(designs: Sequence[Design], P, model: LabelModel
     for design in designs:
         f_c, q = None, 0.0
         if model.kind == "quadratic":
+            if design.entry_dist != "gaussian":
+                raise DomainError("the quadratic teacher needs a Gaussian "
+                                  f"design, got {design.entry_dist}")
             sx = design.sigma_x_eigs
             f_c = model.alpha_q * (np.sum(design.X * design.X, axis=1)
                                    - float(np.sum(sx)))
             q = 2.0 * model.alpha_q**2 * float(np.sum(sx * sx))
         elif model.kind == "unobserved":
-            q = model.unobserved.realized_trace_term()
+            q = model.trace_term
         point = trajectory(design, P, model.prior_map, 1.0, [math.inf],
                            f_c)[0]
         v0 = point.variance

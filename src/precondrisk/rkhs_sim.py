@@ -39,14 +39,12 @@ from .errors import DomainError
 __all__ = [
     "SpectralRKHS",
     "RKHSDataset",
-    "SweepCell",
     "build_model",
     "make_dataset",
     "rate_optimal_damping",
     "run_preconditioned",
     "run_gd",
     "iterations_to_threshold",
-    "damping_sweep",
     "RKHS_CSV_COLUMNS",
 ]
 
@@ -94,18 +92,6 @@ class RKHSDataset:
         y.setflags(write=False)
         object.__setattr__(self, "feature_rows", rows)
         object.__setattr__(self, "y", y)
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One (n, alpha) cell of a damping sweep."""
-
-    n: int
-    alpha: float
-    best_risk: float
-    best_iter: int
-    final_risk: float
-    iters_to_threshold: int | None
 
 
 def build_model(N: int, s: float, r: float, seed: int = 0) -> SpectralRKHS:
@@ -249,24 +235,3 @@ def brute_force_steps(model: SpectralRKHS, dataset: RKHSDataset, eta: float,
         risks.append(float(diff @ diff))
     return np.asarray(risks)
 
-
-def damping_sweep(model: SpectralRKHS, datasets: Sequence[RKHSDataset],
-                  alphas: Sequence[float], eta: float, T: int,
-                  threshold: float | None = None) -> list[SweepCell]:
-    """Grid evaluation over (dataset, alpha) cells.
-
-    Each cell records the best and final risks of the damped run and,
-    when ``threshold`` is given, the first iteration at or below it.
-    """
-    cells = []
-    for dataset in datasets:
-        for alpha in alphas:
-            risks = run_preconditioned(model, dataset, eta, float(alpha), T)
-            best = int(np.argmin(risks))
-            its = (iterations_to_threshold(risks, threshold)
-                   if threshold is not None else None)
-            cells.append(SweepCell(
-                n=dataset.n, alpha=float(alpha),
-                best_risk=float(risks[best]), best_iter=best,
-                final_risk=float(risks[-1]), iters_to_threshold=its))
-    return cells

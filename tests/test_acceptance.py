@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from precondrisk import (PreconditionerSpec, SpectralMeasure,
-                         UnobservedBlock, LabelModel, build_model,
+                         LabelModel, build_model,
                          conditional_bias, conditional_variance,
                          finite_diff_check,
                          iterations_to_threshold, make_dataset, make_joint,
@@ -162,9 +162,7 @@ def test_criterion_04_unobserved_feature_bias(capsys):
         for tau in (0.1, 0.3, 1.0):
             theory = misspecified_bias(joint, 2.0, MisspecSpec(tau))
             model = LabelModel(kind="unobserved", sigma=1.0,
-                               prior_map=iso_prior,
-                               unobserved=UnobservedBlock.isotropic(
-                                   300, tau))
+                               prior_map=iso_prior, trace_term=tau)
             sim = simulate_risk(designs, p, model)
             worst = max(worst, abs(sim.mean_bias - theory) / theory)
     ok = worst <= 0.05

@@ -103,8 +103,15 @@ class TestRun:
          "spectrum.n_atoms"),
         ("spectrum", {"kind": "two_atom", "kappa": 5.0, "normalized": "no"},
          "spectrum.normalized"),
+        # sizes numpy cannot index: above sys.maxsize, or n * gamma*n above
+        ("n", 10**300, "n"),
+        ("spectrum", {"kind": "uniform", "kappa": 5.0, "n_atoms": 10**300},
+         "spectrum.n_atoms"),
+        ("gammas", [1e200], "gammas[0]"),
     ], ids=["sigma2", "n", "gammas", "kappa-two_atom", "kappa-uniform",
-            "n_atoms-fraction", "n_atoms-huge", "normalized"])
+            "n_atoms-fraction", "n_atoms-huge", "normalized",
+            "n-beyond-maxsize", "n_atoms-beyond-maxsize",
+            "gammas-beyond-maxsize"])
     def test_hostile_number_exits_2_and_writes_nothing(
             self, tmp_path, capsys, field, value, where):
         path = tmp_path / "cfg.json"

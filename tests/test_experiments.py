@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,16 +11,17 @@ from hypothesis import strategies as st
 
 from precondrisk import (ConfigError, DomainError, LabelModel, MisspecSpec,
                          PreconditionerSpec, UnknownExperimentError,
-                         UnobservedBlock, build_model, conditional_bias,
+                         build_model, conditional_bias,
                          default_time_grid, iterations_to_threshold,
                          make_dataset, make_joint, make_two_atom,
                          misspecified_bias, optimal_early_stopping,
                          risk_report, run_preconditioned, sample_design,
                          simulate_risk, sweep_alpha, trajectory,
                          yky_diagnostic)
-from precondrisk.experiments import (PRESETS, ExperimentConfig, _format_cell,
-                                     emit_plot_script, get_preset,
-                                     list_experiments, run, write_csv)
+from precondrisk.experiments import (PRESETS, ExperimentConfig, _design_rows,
+                                     _format_cell, emit_plot_script,
+                                     get_preset, list_experiments, run,
+                                     write_csv)
 from precondrisk.finite_sim import GENERATOR_NAME, _rng
 from precondrisk.risk_theory import RISK_CSV_COLUMNS
 
@@ -127,8 +129,6 @@ class TestConfigValidation:
         (as_rkhs(threshold_factor="x"), "rkhs.threshold_factor"),
         # bools are not ints
         (as_rkhs(T=True), "rkhs.T"),
-        (lambda c: c.update(kind="misspec_unobserved", trace_terms=[0.5],
-                            d_c=True), "d_c"),
         # yky needs an int n
         pytest.param(lambda c: (c.update(kind="yky", noise_levels=[0.0, 1.0]),
                                 c.pop("n")), "n", id="<lambda>-n-yky-missing"),
@@ -139,7 +139,7 @@ class TestConfigValidation:
         (lambda c: c.update(kind="misspec_quadratic", gammas=[2.0, 3.0],
                             alpha_q_values=[0.0]), "gammas"),
         (lambda c: c.update(kind="misspec_unobserved", gammas=[2.0, 3.0],
-                            trace_terms=[0.5], d_c=10), "gammas"),
+                            trace_terms=[0.5]), "gammas"),
         (lambda c: c.update(kind="yky", gammas=[2.0, 3.0],
                             noise_levels=[0.0, 1.0]), "gammas"),
         (lambda c: c.update(kind="alignment", gammas=[2.0, 3.0],
@@ -419,12 +419,13 @@ class TestEveryKind:
             == [summary.mean_bias, summary.mean_variance, summary.mean_risk]
 
     def test_misspec_unobserved(self, tmp_path):
+        # d_c is not a config field: a leftover one is ignored
         run(tiny("misspec_unobserved", trace_terms=[0.5], d_c=10),
             out_dir=str(tmp_path))
         spec = PreconditionerSpec.inverse_pop_fisher()
         row = read_rows(tmp_path / "tiny_sim.csv")[1]
         model = LabelModel(kind="unobserved", sigma=1.0, prior_map=self.iso,
-                           unobserved=UnobservedBlock.isotropic(10, 0.5))
+                           trace_term=0.5)
         summary = simulate_risk([self.design(3)], spec, model)
         assert [float(row[k]) for k in ("bias", "variance", "risk")] \
             == [summary.mean_bias, summary.mean_variance, summary.mean_risk]
@@ -503,3 +504,44 @@ class TestEveryKind:
         assert math.isfinite(float(diverged["best_risk"]))
         # the threshold is 3 x the best finite risk, so it is reached
         assert int(converged["iters_to_threshold"]) <= 900
+
+
+class TestDesignCells:
+    """The cell skeleton of the design-based kinds."""
+
+    # each kind's own fields on top of tiny(), with >= 2 sweep values
+    KINDS = {
+        "stationary": {"gammas": [2.0, 3.0]},
+        "trajectory": {"t_grid": {"scale": "lambda_max", "lo": 0.1,
+                                  "hi": 10.0, "points": 4}},
+        "misspec_quadratic": {"alpha_q_values": [0.0, 0.01]},
+        "misspec_unobserved": {"trace_terms": [0.1, 0.5]},
+        "alignment": {"prior_exponents": [0.0, 1.0]},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_one_eigh_per_gamma_seed_spec(self, kind, tmp_path,
+                                          monkeypatch):
+        raw = tiny(kind, seeds=(3, 4), **self.KINDS[kind])
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a: calls.append(1) or eigh(*a))
+        run(raw, out_dir=str(tmp_path))
+        assert len(calls) == (len(raw["gammas"]) * len(raw["seeds"])
+                              * len(raw["preconditioners"]))
+
+    def test_row_order(self):
+        cfg = dataclasses.replace(ExperimentConfig.from_dict(
+            tiny_stationary(seeds=(3, 4))), gammas=(2.0, 3.0),
+            sweep=("a", "b"))
+
+        def row(gamma, value, flow, spec):
+            design = flow.design
+            return gamma, value, design.seed, spec.label, design.d
+
+        expected = [(g, v, s, spec.label, round(g * cfg.n))
+                    for g in (2.0, 3.0) for v in ("a", "b") for s in (3, 4)
+                    for spec in cfg.specs]
+        for workers in (1, 2):
+            assert _design_rows(cfg, workers, row) == expected

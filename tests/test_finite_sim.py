@@ -3,9 +3,9 @@ import pytest
 
 from precondrisk import (Design, DomainError, LabelModel, NumericalError,
                          OutOfRegimeError, PreconditionerSpec,
-                         UnobservedBlock, build_preconditioner,
-                         conditional_bias, conditional_variance,
-                         default_time_grid, make_two_atom, min_norm_check,
+                         build_preconditioner, conditional_bias,
+                         conditional_variance, default_time_grid,
+                         gram_flow, make_two_atom, min_norm_check,
                          optimal_early_stopping, sample_design,
                          simulate_risk, stationary_solution, trajectory,
                          yky_diagnostic)
@@ -218,6 +218,7 @@ class TestConditionalRisk:
         spec = PreconditionerSpec.identity()
         y = np.ones(design.n)
         calls = [
+            lambda: gram_flow(design, spec),
             lambda: conditional_bias(design, spec, iso_prior),
             lambda: conditional_variance(design, spec, 1.0),
             lambda: trajectory(design, spec, iso_prior, 1.0, None),
@@ -227,6 +228,51 @@ class TestConditionalRisk:
         ]
         for call in calls:
             with pytest.raises(NumericalError):
+                call()
+
+
+class TestGramFlow:
+    """Every consumer of a preconditioner reads a flow of its design."""
+
+    def consumers(self, design, P):
+        model = LabelModel(kind="well_specified", sigma=1.0,
+                           prior_map=iso_prior)
+        y = np.ones(design.n)
+        return [
+            lambda: conditional_bias(design, P, iso_prior),
+            lambda: conditional_variance(design, P, 1.0),
+            lambda: trajectory(design, P, iso_prior, 1.0, None),
+            lambda: default_time_grid(design, P),
+            lambda: stationary_solution(design, P, y),
+            lambda: simulate_risk([design], P, model),
+        ]
+
+    def test_flow_gives_the_same_bits(self, monkeypatch):
+        design = small_design(seed=5, n=15, d=30)
+        spec = PreconditionerSpec.power(0.5)
+        flow = gram_flow(design, spec)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a: calls.append(1) or eigh(*a))
+        for from_flow, from_spec in zip(self.consumers(design, flow),
+                                        self.consumers(design, spec)):
+            before = len(calls)
+            got = from_flow()
+            assert len(calls) == before  # the flow is not factored again
+            expected = from_spec()
+            if isinstance(got, np.ndarray):
+                assert np.array_equal(got, expected)
+            else:
+                assert got == expected
+
+    def test_flow_of_another_design_raises(self):
+        design = small_design(seed=5, n=15, d=30)
+        # the same draw, but another Design object
+        twin = small_design(seed=5, n=15, d=30)
+        flow = gram_flow(twin, PreconditionerSpec.identity())
+        for call in self.consumers(design, flow):
+            with pytest.raises(DomainError):
                 call()
 
 
@@ -329,10 +375,11 @@ class TestLabelsAndBlocks:
             LabelModel(kind="cubic", sigma=1.0)
 
     def test_unobserved_block(self):
-        block = UnobservedBlock.isotropic(12, 0.3)
-        assert block.realized_trace_term() == pytest.approx(0.3, rel=1e-12)
-        eigs_x, eigs_t = block.realized_eigs()
-        assert len(eigs_x) == 12 and len(eigs_t) == 12
+        model = LabelModel(kind="unobserved", sigma=1.0, trace_term=0.3)
+        assert model.label == "unobserved(trace_term=0.3)"
+        for tau in (0.0, -0.3):  # the block needs a positive trace term
+            with pytest.raises(DomainError):
+                LabelModel(kind="unobserved", sigma=1.0, trace_term=tau)
 
     def test_label_strings(self):
         assert LabelModel(kind="well_specified",
@@ -366,8 +413,7 @@ class TestSimulateRisk:
         spec = PreconditionerSpec.identity()
         tau = 0.4
         model = LabelModel(kind="unobserved", sigma=1.0,
-                           prior_map=iso_prior,
-                           unobserved=UnobservedBlock.isotropic(60, tau))
+                           prior_map=iso_prior, trace_term=tau)
         base = LabelModel(kind="well_specified", sigma=1.0,
                           prior_map=iso_prior)
         with_block = simulate_risk(designs, spec, model)
@@ -418,6 +464,15 @@ class TestSimulateRisk:
         stderr = given.std() / np.sqrt(draws)
         assert abs(given.mean() - closed) <= 4.0 * stderr
         assert stderr <= 0.02 * closed  # the draws resolve the risk
+
+    def test_quadratic_refuses_rademacher_design(self):
+        """||x||^2 is constant on a Rademacher design, so the quadratic
+        teacher is linear there; the Gaussian q(1 + V0) would be wrong."""
+        design = sample_design(20, 40, make_two_atom(5.0), "rademacher", 0)
+        model = LabelModel(kind="quadratic", sigma=1.0, prior_map=iso_prior,
+                           alpha_q=0.02)
+        with pytest.raises(DomainError):
+            simulate_risk([design], PreconditionerSpec.identity(), model)
 
     def test_trajectory_f_c_term(self):
         """f_c adds ||Sigma_X^1/2 P X^T W(t) S^-1 f_c||^2 to the bias at

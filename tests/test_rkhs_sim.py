@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from precondrisk import (DomainError, brute_force_steps, build_model,
-                         damping_sweep, iterations_to_threshold,
-                         make_dataset, run_gd, run_preconditioned,
-                         rate_optimal_damping)
+                         iterations_to_threshold, make_dataset, run_gd,
+                         run_preconditioned, rate_optimal_damping)
 
 
 @pytest.fixture(scope="module")
@@ -123,13 +122,3 @@ class TestThresholdsAndSweeps:
         assert iterations_to_threshold(traj, np.inf) == 0
         with pytest.raises(DomainError):
             iterations_to_threshold(traj, 0.0)
-
-    def test_damping_sweep_cells(self, model, dataset):
-        cells = damping_sweep(model, [dataset], [0.001, 0.1], 0.5, 50)
-        assert len(cells) == 2
-        for cell in cells:
-            assert cell.n == dataset.n
-            assert cell.best_risk <= cell.final_risk + 1e-15
-            traj = run_preconditioned(model, dataset, 0.5, cell.alpha, 50)
-            assert cell.best_risk == pytest.approx(float(traj.min()))
-            assert cell.best_iter == int(np.argmin(traj))
