@@ -3,8 +3,9 @@
 
 Everything the CLI does is importable: pick a preset, override its
 seeds, run it into a directory, inspect the manifest, and emit a
-standalone plot script.  Re-running the same config reproduces the
-CSVs byte for byte (the manifest records their digests).
+standalone plot script.  Re-running the same config at the same pool
+width reproduces the CSVs byte for byte (the manifest records their
+digests, and the BLAS thread count the width chose).
 """
 import json
 import pathlib
@@ -23,7 +24,10 @@ print(f"config hash {manifest.config_hash[:16]}...")
 for name, digest in manifest.outputs.items():
     print(f"  {name}  sha256 {digest[:16]}...")
 
-again = run(config, out_dir=str(out / "again"), workers=1)
+print(f"BLAS threads {manifest.blas['threads']} "
+      f"for {manifest.blas['workers']} workers")
+
+again = run(config, out_dir=str(out / "again"), workers=2)
 print("byte-identical on re-run:", again.outputs == manifest.outputs)
 
 script = out / "plot_fig3a.py"

@@ -6,8 +6,10 @@ Subcommands:
   plot  emit a standalone matplotlib script for existing CSV output
 
 Exit codes: 0 on success, 2 for configuration problems (including
-unknown experiment names), 3 for numerical failures, which are
-reported with the failing module and operation, and 141 (128 + SIGPIPE,
+unknown experiment names and ``--workers`` below 1), 3 for numerical
+failures, which are reported with the failing module and operation, 4
+when a run needs more memory than it can allocate (a config whose sizes
+parse but do not fit), and 141 (128 + SIGPIPE,
 the shell's code for a writer the closed pipe ends) without a traceback
 when the reader of stdout goes away early, as in ``| head -1``.
 """
@@ -29,6 +31,7 @@ from .experiments import (OUTPUT_ENV_VAR, ExperimentConfig,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_MEMORY = 4
 EXIT_BROKEN_PIPE = 141
 
 
@@ -69,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seeds", metavar="SPEC", default=None,
                        help='override seeds: "0:20" or "1,5,9"')
     run_p.add_argument("--workers", type=int, default=1,
-                       help="thread-pool width (default 1)")
+                       help="thread-pool width, at least 1 (default 1); "
+                            "with N > 1 workers OpenBLAS is capped at "
+                            "usable cores // N threads for the run")
 
     sub.add_parser("list", help="list the built-in presets")
 
@@ -107,6 +112,9 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("--workers", f"must be at least 1, got "
+                                       f"{args.workers}")
     config = _load_config(args)
     manifest = run(config, out_dir=args.out, workers=args.workers)
     print(f"{config.experiment}: wrote {len(manifest.outputs)} files "
@@ -153,6 +161,10 @@ def main(argv=None) -> int:
         print(f"numerical failure in {exc.module}.{exc.operation}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

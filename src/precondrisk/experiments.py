@@ -8,13 +8,18 @@ to a bounded thread pool (each cell is pure given its seed; a design
 cell factors its design once per preconditioner for the whole sweep),
 writes RFC-4180 CSVs with 17-significant-digit floats, and records a
 manifest with a canonical config hash, the RNG identity, and per-file
-digests.  Two runs of the same config produce byte-identical CSVs.
+digests.  Two runs of the same config at the same BLAS thread count
+produce byte-identical CSVs; a pool of W workers caps OpenBLAS at
+usable cores // W threads for the run, and the manifest records the
+count used.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import difflib
+import functools
 import hashlib
 import json
 import math
@@ -22,13 +27,14 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, UnknownExperimentError
+from .errors import ConfigError, DomainError, UnknownExperimentError
 from .finite_sim import (GENERATOR_NAME, LabelModel, default_time_grid,
                          gram_flow, optimal_early_stopping, sample_design,
                          simulate_risk, trajectory, yky_diagnostic,
@@ -402,6 +408,7 @@ class RunManifest:
     version: str
     wall_clock_seconds: float
     outputs: dict  # filename -> sha256
+    blas: dict  # library, BLAS threads used, pool width
 
     def to_dict(self) -> dict:
         return {
@@ -411,6 +418,7 @@ class RunManifest:
             "version": self.version,
             "wall_clock_seconds": self.wall_clock_seconds,
             "outputs": dict(sorted(self.outputs.items())),
+            "blas": dict(self.blas),
             "conventions": {
                 "spectrum_normalization": "frobenius (E[value^2] = 1)",
                 "eigenvalue_apportionment": "largest remainder",
@@ -662,6 +670,70 @@ def _run_rkhs(cfg: ExperimentConfig, workers: int) -> dict:
             "rkhs_sweep.csv": (sweep_columns, sweep_rows)}
 
 
+# ---------------------------------------------------------------------------
+# BLAS thread budget
+
+@functools.cache
+def _openblas():
+    """(library file name, get, set) for numpy's bundled OpenBLAS thread
+    count, or None when no such library or symbol pair is found.
+
+    ``ctypes.CDLL`` of the already-loaded file returns that library, so
+    the setter acts on the BLAS numpy calls.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(np.__file__))), "numpy.libs")
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in (n for n in names if "openblas" in n):
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return name, get, put
+    return None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _blas_budget(workers: int):
+    """Cap OpenBLAS at usable cores // workers threads while a pool of
+    ``workers`` runs, never above the caller's count, and restore the
+    caller's count on exit.  Yields the manifest's ``blas`` record.
+
+    The count is process-global: at ``workers == 1``, or when no
+    OpenBLAS setter is found, nothing is changed.
+    """
+    found = _openblas()
+    if found is None:
+        yield {"library": None, "threads": "unknown", "workers": workers}
+        return
+    library, get, put = found
+    before = get()
+    threads = before
+    if workers > 1:
+        threads = min(before, max(1, _usable_cpus() // workers))
+    try:
+        if threads != before:
+            put(threads)
+        yield {"library": library, "threads": threads, "workers": workers}
+    finally:
+        if threads != before:
+            put(before)
+
+
 _RUNNERS = {
     "stationary": _run_stationary,
     "trajectory": _run_trajectory,
@@ -681,14 +753,25 @@ def run(config: ExperimentConfig | dict, out_dir: str | None = None,
     ``out_dir`` defaults to the PRECONDRISK_OUT environment variable or
     "./outputs".  Returns the manifest (also written as
     ``<experiment>_manifest.json`` with a column manifest alongside).
+
+    ``workers`` (at least 1) is the thread-pool width.  With more than
+    one worker the run caps OpenBLAS at usable cores // workers threads
+    (never above the current count) and restores the count afterwards;
+    the manifest's ``blas`` record names the count used, which sets the
+    trailing digits of the output.  That setting is process-global, so
+    ``run`` is not meant to be called concurrently from several threads.
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
+    workers = int(workers)
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
     if out_dir is None:
         out_dir = os.environ.get(OUTPUT_ENV_VAR, "outputs")
     os.makedirs(out_dir, exist_ok=True)
     start = time.monotonic()
-    outputs = _RUNNERS[config.kind](config, max(1, int(workers)))
+    with _blas_budget(workers) as blas:
+        outputs = _RUNNERS[config.kind](config, workers)
 
     prefix = config.prefix
     digests = {}
@@ -712,6 +795,7 @@ def run(config: ExperimentConfig | dict, out_dir: str | None = None,
         version=__version__,
         wall_clock_seconds=time.monotonic() - start,
         outputs=digests,
+        blas=blas,
     )
     manifest_path = os.path.join(out_dir, f"{prefix}_manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as handle:

@@ -155,6 +155,21 @@ class TestRun:
         assert "stieltjes" in err
         assert "solve_m" in err
 
+    def test_out_of_memory_exits_4(self, monkeypatch, capsys):
+        def boom(config, out_dir=None, workers=1):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+        monkeypatch.setattr(cli, "run", boom)
+        assert run_cli(["run", "fig10"]) == cli.EXIT_MEMORY == 4
+        err = capsys.readouterr().err
+        assert err == "out of memory: Unable to allocate 74.5 GiB\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, workers, tmp_path, capsys):
+        assert run_cli(["run", "fig10", "--workers", workers, "--out",
+                        str(tmp_path)]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class ClosedPipe:
     """A stdout whose reader has gone away; its fd is a scratch file."""

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from precondrisk import (ConfigError, DomainError, LabelModel, MisspecSpec,
-                         PreconditionerSpec, UnknownExperimentError,
+                         NumericalError, PreconditionerSpec, UnknownExperimentError,
                          build_model, conditional_bias,
                          default_time_grid, iterations_to_threshold,
                          make_dataset, make_joint, make_two_atom,
@@ -18,6 +18,7 @@ from precondrisk import (ConfigError, DomainError, LabelModel, MisspecSpec,
                          risk_report, run_preconditioned, sample_design,
                          simulate_risk, sweep_alpha, trajectory,
                          yky_diagnostic)
+from precondrisk import experiments
 from precondrisk.experiments import (PRESETS, ExperimentConfig, _design_rows,
                                      _format_cell, emit_plot_script,
                                      get_preset, list_experiments, run,
@@ -273,6 +274,12 @@ class TestRun:
         m1 = run(cfg, out_dir=str(tmp_path / "w1"), workers=1)
         m4 = run(cfg, out_dir=str(tmp_path / "w4"), workers=4)
         assert m1.outputs == m4.outputs
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_raise(self, workers, tmp_path):
+        with pytest.raises(DomainError, match="workers"):
+            run(tiny_stationary(), out_dir=str(tmp_path), workers=workers)
+        assert not list(tmp_path.iterdir())
 
     def test_float_cells_roundtrip_exactly(self, tmp_path):
         run(tiny_stationary(), out_dir=str(tmp_path))
@@ -545,3 +552,72 @@ class TestDesignCells:
                     for spec in cfg.specs]
         for workers in (1, 2):
             assert _design_rows(cfg, workers, row) == expected
+
+
+class TestBlasBudget:
+    """A pool of W workers caps OpenBLAS at usable cores // W threads."""
+
+    @pytest.fixture
+    def blas(self):
+        found = experiments._openblas()
+        if found is None:
+            pytest.skip("numpy's OpenBLAS exposes no thread setter here")
+        _, get, put = found
+        before = get()
+        yield get, put
+        put(before)
+
+    def test_pool_matches_serial_at_recorded_threads(self, tmp_path, blas):
+        get, put = blas
+        # n = 300 is large enough for OpenBLAS to split its work
+        raw = dict(tiny_stationary(), n=300)
+        pooled = run(raw, out_dir=str(tmp_path / "pool"), workers=2)
+        threads = pooled.blas["threads"]
+        assert pooled.blas["workers"] == 2
+        assert 1 <= threads <= get()
+        put(threads)
+        serial = run(raw, out_dir=str(tmp_path / "serial"), workers=1)
+        assert serial.blas == dict(pooled.blas, workers=1)
+        assert serial.outputs == pooled.outputs
+
+    def test_count_restored_after_run_and_after_raise(self, tmp_path, blas,
+                                                      monkeypatch):
+        get, put = blas
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+        put(4)
+        manifest = run(tiny_stationary(), out_dir=str(tmp_path / "ok"),
+                       workers=4)
+        assert manifest.blas["threads"] == 2
+        assert get() == 4
+        meta = json.loads((tmp_path / "ok" / "tiny_manifest.json")
+                          .read_text())
+        assert meta["blas"] == manifest.blas
+
+        seen = []
+
+        def failing(cfg, workers):
+            seen.append(get())
+            raise NumericalError("finite_sim", "gram_flow", "singular")
+        monkeypatch.setitem(experiments._RUNNERS, "stationary", failing)
+        with pytest.raises(NumericalError):
+            run(tiny_stationary(), out_dir=str(tmp_path / "bad"), workers=4)
+        assert seen == [2]
+        assert get() == 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_never_raises_the_callers_count(self, workers, tmp_path, blas,
+                                            monkeypatch):
+        get, put = blas
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 8)
+        put(1)
+        manifest = run(tiny_stationary(), out_dir=str(tmp_path),
+                       workers=workers)
+        assert manifest.blas["threads"] == 1
+        assert get() == 1
+
+    def test_no_setter_records_unknown(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "_openblas", lambda: None)
+        manifest = run(tiny_stationary(), out_dir=str(tmp_path), workers=2)
+        assert manifest.blas == {"library": None, "threads": "unknown",
+                                 "workers": 2}
+        assert set(manifest.outputs) == {"tiny_theory.csv", "tiny_sim.csv"}
